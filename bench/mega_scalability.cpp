@@ -1,18 +1,13 @@
-// Mega scalability: a million simulated clients through the sharded kernel.
+// Mega scalability: a million simulated clients through the event kernel.
 //
 // Drives harness::run_mega at full scale -- >= 10^6 client processes,
 // wave-spawned, zipf hot-directory load (workload/hotdir), every path
 // spelling shared through one fs::PathInterner arena -- and reports how the
-// engine holds up: host events/second, wall seconds, arena footprint and
-// shard balance. Tracked across PRs in BENCH_kernel.json as the mega_*
+// engine holds up: host events/second, wall seconds and arena footprint.
+// Tracked across PRs in BENCH_kernel.json as the mega_*
 // keys (scripts/perfbench.sh --mega leg).
 //
-// Usage: mega_scalability [--clients N] [--shards N] [--nodes N]
-//                         [--wave N] [--json FILE]
-//
-// Sharding never changes results: the sharded kernel dispatches in global
-// (time, seq) order (sim/event_shards.h), so any --shards value yields the
-// same ops/events/virtual time; only wall time and balance counters move.
+// Usage: mega_scalability [--clients N] [--nodes N] [--wave N] [--json FILE]
 #include <chrono>
 #include <cstdint>
 #include <cstring>
@@ -31,8 +26,6 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (!std::strcmp(argv[i], "--clients") && i + 1 < argc) {
       cfg.clients = std::strtoull(argv[++i], nullptr, 10);
-    } else if (!std::strcmp(argv[i], "--shards") && i + 1 < argc) {
-      cfg.shards = static_cast<std::uint32_t>(std::strtoul(argv[++i], nullptr, 10));
     } else if (!std::strcmp(argv[i], "--nodes") && i + 1 < argc) {
       cfg.nodes = std::strtoull(argv[++i], nullptr, 10);
     } else if (!std::strcmp(argv[i], "--wave") && i + 1 < argc) {
@@ -40,8 +33,8 @@ int main(int argc, char** argv) {
     } else if (!std::strcmp(argv[i], "--json") && i + 1 < argc) {
       json_path = argv[++i];
     } else {
-      std::cerr << "usage: mega_scalability [--clients N] [--shards N] [--nodes N] "
-                   "[--wave N] [--json FILE]\n";
+      std::cerr << "usage: mega_scalability [--clients N] [--nodes N] [--wave N] "
+                   "[--json FILE]\n";
       return 2;
     }
   }
@@ -49,7 +42,6 @@ int main(int argc, char** argv) {
     std::cerr << "mega_scalability: counts must be positive\n";
     return 2;
   }
-  if (cfg.shards == 0) cfg.shards = 1;
 
   harness::enable_run_report("mega_scalability");
   harness::enable_timeline("mega_scalability");
@@ -60,7 +52,7 @@ int main(int argc, char** argv) {
 
   const double events_per_sec = wall > 0 ? static_cast<double>(r.events) / wall : 0;
   std::cout << "mega_scalability: " << r.clients_completed << " clients on " << cfg.nodes
-            << " nodes, " << r.shard_count << " shard(s)\n"
+            << " nodes\n"
             << "  ops ok/failed      = " << r.ops_ok << " / " << r.ops_failed << "\n"
             << "  events             = " << r.events << " (" << static_cast<std::uint64_t>(
                    events_per_sec) << "/s host)\n"
@@ -68,10 +60,7 @@ int main(int argc, char** argv) {
             << "  virtual seconds    = " << r.virtual_seconds << "\n"
             << "  interned paths     = " << r.interned_paths << " (" << r.interner_bytes
             << " bytes arena; region pending after drain " << r.region_pending_paths << ")\n"
-            << "  reaped roots       = " << r.reaped_roots << "\n"
-            << "  shard dispatched   = [" << r.min_shard_dispatched << ", "
-            << r.max_shard_dispatched << "], merge stalls " << r.merge_stalls
-            << ", cross-shard " << r.cross_shard_schedules << "\n";
+            << "  reaped roots       = " << r.reaped_roots << "\n";
 
   if (r.clients_completed != cfg.clients || r.ops_failed != 0) {
     std::cerr << "mega_scalability: FAILED (incomplete clients or failed ops)\n";
@@ -82,13 +71,11 @@ int main(int argc, char** argv) {
     std::ofstream out(json_path);
     out << "{\n"
         << "  \"mega_clients\": " << r.clients_completed << ",\n"
-        << "  \"mega_shards\": " << r.shard_count << ",\n"
         << "  \"mega_events\": " << r.events << ",\n"
         << "  \"mega_events_per_sec\": " << static_cast<std::uint64_t>(events_per_sec) << ",\n"
         << "  \"mega_wall_seconds\": " << wall << ",\n"
         << "  \"mega_interned_paths\": " << r.interned_paths << ",\n"
-        << "  \"mega_interner_bytes\": " << r.interner_bytes << ",\n"
-        << "  \"mega_merge_stalls\": " << r.merge_stalls << "\n"
+        << "  \"mega_interner_bytes\": " << r.interner_bytes << "\n"
         << "}\n";
     if (!out) {
       std::cerr << "mega_scalability: failed to write " << json_path << "\n";

@@ -8,8 +8,8 @@
 # failure-injection suites (Pacon, IndexFS, DFS, fault-topology unit tests;
 # every fault test carries a per-test TIMEOUT so a wedged retry loop fails
 # fast) and a `ctest -L mega` pass over the scaled-down mega-scalability
-# smoke (shard-count matrix including the 1-shard degenerate case, held to
-# byte-identical simulated results), and finally observability validation:
+# smoke (a same-config rerun held to identical simulated results), and
+# finally observability validation:
 # a real paconsim_cli run exported as Chrome trace JSON plus a flight-
 # recorder timeline, run through pacon-trace's latency attribution, with
 # all three artifacts held to scripts/trace_validate.py's invariants.
@@ -80,11 +80,10 @@ for mode in "${modes[@]}"; do
   TSAN_OPTIONS="halt_on_error=1" \
     ctest --test-dir "$build" -L faults --output-on-failure --timeout 120 -j "$jobs"
   echo "---- PACON_SANITIZE=$mode: mega smoke (ctest -L mega)"
-  # Scaled-down run of the million-client scenario across a shard-count
-  # matrix (1/2/4 shards, including the degenerate unsharded kernel): every
-  # sanitizer leg must see the sharded event queues, the path-interner arena,
-  # and wave-spawned client reaping under instrumentation, and the simulated
-  # results must stay byte-identical across shard counts.
+  # Scaled-down run of the million-client scenario: every sanitizer leg
+  # must see the path-interner arena and wave-spawned client reaping under
+  # instrumentation, and a same-config rerun must reproduce the simulated
+  # results exactly.
   ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
   UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
   TSAN_OPTIONS="halt_on_error=1" \

@@ -10,8 +10,8 @@
 #
 # Usage: scripts/perfbench.sh [--build-dir DIR] [--scale N] [--label TEXT]
 #                             [--skip-fig07] [--skip-mega] [--mega-clients N]
-#                             [--mega-shards N] [--out FILE] [--metrics [DIR]]
-#                             [--compare] [--threshold PCT]
+#                             [--out FILE] [--metrics [DIR]] [--compare]
+#                             [--threshold PCT]
 #   --build-dir DIR  build tree to use (default: build-perf; configured
 #                    Release + PACON_LTO=ON automatically if missing)
 #   --scale N        perf_kernel iteration multiplier (default 1)
@@ -20,7 +20,6 @@
 #   --skip-fig07     skip the end-to-end fig07 wall-clock run
 #   --skip-mega      skip the million-client mega_scalability run
 #   --mega-clients N simulated clients for the mega run (default 1000000)
-#   --mega-shards N  event-kernel shards for the mega run (default 4)
 #   --metrics [DIR]  archive the fig07 run-report sidecar (fig07_metrics.json)
 #                    into DIR (default: bench-metrics/ at the repo root)
 #   --compare        regression gate: run the perf legs, compare against the
@@ -45,7 +44,6 @@ out="$root/BENCH_kernel.json"
 run_fig07=1
 run_mega=1
 mega_clients=1000000
-mega_shards=4
 metrics_dir=""
 compare=0
 threshold=10
@@ -59,7 +57,6 @@ while [[ $# -gt 0 ]]; do
     --skip-fig07) run_fig07=0; shift ;;
     --skip-mega) run_mega=0; shift ;;
     --mega-clients) mega_clients="$2"; shift 2 ;;
-    --mega-shards) mega_shards="$2"; shift 2 ;;
     --metrics)
       if [[ $# -gt 1 && "$2" != --* ]]; then metrics_dir="$2"; shift 2
       else metrics_dir="$root/bench-metrics"; shift; fi ;;
@@ -144,9 +141,8 @@ fi
 
 mega_json=""
 if [[ "$run_mega" == 1 ]]; then
-  echo "perfbench: running mega_scalability (clients=$mega_clients shards=$mega_shards)"
-  "$build/bench/mega_scalability" --clients "$mega_clients" \
-    --shards "$mega_shards" --json "$tmp/mega.json"
+  echo "perfbench: running mega_scalability (clients=$mega_clients)"
+  "$build/bench/mega_scalability" --clients "$mega_clients" --json "$tmp/mega.json"
   mega_json="$tmp/mega.json"
 fi
 

@@ -6,17 +6,15 @@
 // string/char/raw-string literals, preprocessor lines) and layers a light
 // structural pass on top (paren/brace matching, template-argument skipping,
 // function-signature and call-argument extraction) -- enough to make the
-// rule set immune to the string/comment false positives the retired
-// sed/grep gate (scripts/lint_sim_rules.sh) suffered from, without growing
-// a type checker.
+// rule set immune to the string/comment false positives a sed/grep gate
+// suffers from, without growing a type checker.
 //
 // Rules are zone-scoped: a file's path classifies it (kernel = src/sim +
 // src/core, net = src/net, app = the rest of src/ and tools/, tests, bench)
 // and each rule declares the zones it patrols. Findings can be silenced two
 // ways:
 //   * inline: `// lint-allow: <rule-id>[,<rule-id>] <why>` on the offending
-//     line, or alone on the line above it (the legacy id `sim-rules` keeps
-//     working as an alias for the whole sim-* family);
+//     line, or alone on the line above it;
 //   * the checked-in baseline (scripts/analyze_baseline.txt): accepted
 //     pre-existing findings keyed by (rule, file, source-line text) so they
 //     survive unrelated line-number churn. See baseline.h.

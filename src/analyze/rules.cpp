@@ -44,7 +44,7 @@ bool std_qualified(const std::vector<Token>& ts, std::size_t i) {
   return i >= 2 && ts[i - 1].is_punct("::") && ts[i - 2].is_ident("std");
 }
 
-// ---- Determinism rules (the retired lint_sim_rules.sh, lexer-grade) -------
+// ---- Determinism rules (the retired grep gate's patterns, lexer-grade) ---
 
 void rule_sim_os_thread(const SourceFile& f, const Corpus&, std::vector<Finding>& out) {
   const auto& ts = f.lex.tokens;

@@ -58,7 +58,6 @@ MegaResult run_mega(const MegaConfig& cfg) {
   bed_cfg.kind = cfg.kind;
   bed_cfg.client_nodes = cfg.nodes;
   bed_cfg.seed = cfg.seed;
-  bed_cfg.shards = cfg.shards;
   TestBed bed(bed_cfg);
   sim::Simulation& sim = bed.sim();
 
@@ -78,7 +77,6 @@ MegaResult run_mega(const MegaConfig& cfg) {
   wl::HotDirWorkload load(interner, fs::Path::parse(workspace), cfg.hot);
 
   MegaResult res;
-  res.shard_count = sim.shard_count();
 
   // Hot directories first (node 0's client), so every create's parent
   // permission check hits a cached directory.
@@ -98,9 +96,8 @@ MegaResult run_mega(const MegaConfig& cfg) {
     for (std::uint64_t i = 0; i < n; ++i) {
       const std::uint64_t id = spawned + i;
       const std::size_t node = static_cast<std::size_t>(id % cfg.nodes);
-      sim.spawn_on(static_cast<std::uint32_t>(node),
-                   mega_client(*node_clients[node], load, tallies, sim.rng().fork(id),
-                               cfg.ops_per_client));
+      sim.spawn(mega_client(*node_clients[node], load, tallies, sim.rng().fork(id),
+                            cfg.ops_per_client));
     }
     spawned += n;
     while (tallies.clients_done < wave_target && sim.step()) {
@@ -124,17 +121,6 @@ MegaResult run_mega(const MegaConfig& cfg) {
   res.virtual_seconds = static_cast<double>(sim.now()) / 1e9;
   res.interned_paths = interner.size();
   res.interner_bytes = interner.memory_bytes();
-  res.merge_stalls = sim.merge_stalls();
-  res.cross_shard_schedules = sim.cross_shard_schedules();
-  if (const std::vector<sim::ShardStats>* stats = sim.shard_stats()) {
-    res.min_shard_dispatched = UINT64_MAX;
-    for (const sim::ShardStats& s : *stats) {
-      res.min_shard_dispatched = std::min(res.min_shard_dispatched, s.dispatched);
-      res.max_shard_dispatched = std::max(res.max_shard_dispatched, s.dispatched);
-    }
-  } else {
-    res.min_shard_dispatched = res.max_shard_dispatched = res.events;
-  }
   return res;
 }
 

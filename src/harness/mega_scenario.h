@@ -8,12 +8,6 @@
 // frames. Each client forks its own rng stream and performs
 // `ops_per_client` create+getattr pairs on zipf-hot files (workload/hotdir),
 // all spellings shared through one fs::PathInterner arena.
-//
-// Sharding: client id -> home node -> event shard (node % shard_count), so
-// a node group's causal chain stays on its shard. Because the sharded
-// kernel's merge dispatches in global (time, seq) order (sim/event_shards.h)
-// every MegaResult field except the shard-balance counters is identical for
-// any shard count -- the smoke tests assert exactly that.
 #pragma once
 
 #include <cstddef>
@@ -27,8 +21,6 @@ namespace pacon::harness {
 struct MegaConfig {
   /// Simulated client processes driven to completion.
   std::uint64_t clients = 1'000'000;
-  /// Event-kernel shards (1 = single global queue).
-  std::uint32_t shards = 1;
   /// Client nodes; each hosts one shared MetaClient and clients % nodes.
   std::size_t nodes = 64;
   /// Client coroutines in flight at once (wave-spawned, reaped between).
@@ -54,12 +46,6 @@ struct MegaResult {
   /// commit reached the DFS), 0 for non-Pacon.
   std::size_t region_pending_paths = 0;
   std::uint64_t reaped_roots = 0;
-  // Shard balance (from the kernel's per-shard tallies).
-  std::uint32_t shard_count = 1;
-  std::uint64_t merge_stalls = 0;
-  std::uint64_t cross_shard_schedules = 0;
-  std::uint64_t min_shard_dispatched = 0;
-  std::uint64_t max_shard_dispatched = 0;
 };
 
 /// Runs the scenario to completion (all clients done, commit queues

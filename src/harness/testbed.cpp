@@ -158,7 +158,7 @@ class PaconMetaClient final : public wl::MetaClient {
 }  // namespace
 
 TestBed::TestBed(TestBedConfig config) : config_(std::move(config)) {
-  sim_ = std::make_unique<sim::Simulation>(config_.seed, config_.shards);
+  sim_ = std::make_unique<sim::Simulation>(config_.seed);
 
   net::FabricConfig fabric_cfg;
   fabric_cfg.remote_one_way = config_.cal.net_one_way;
@@ -196,9 +196,9 @@ TestBed::~TestBed() {
     recorder_->sample();
     timeline_capture(label, *recorder_);
   }
-  // Shard-balance counters flow into the registry here, so every bench that
+  // Kernel event counts flow into the registry here, so every bench that
   // enabled a run report gets them with no per-bench plumbing.
-  sim_->publish_shard_metrics();
+  sim_->publish_kernel_metrics();
   report_capture(label, sim_->metrics());
 }
 

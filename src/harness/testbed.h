@@ -37,10 +37,6 @@ struct TestBedConfig {
   SystemKind kind = SystemKind::beegfs;
   std::size_t client_nodes = 16;
   std::uint64_t seed = 1;
-  /// Event-kernel shard count (1 = single global queue). Sharding never
-  /// changes dispatch order (see sim/event_shards.h); scenarios place their
-  /// node groups with sim().spawn_on / ShardScope.
-  std::uint32_t shards = 1;
   Calibration cal{};
   /// Pacon region tuning overrides (workspace/nodes filled per client).
   core::RegionConfig pacon_region{};

@@ -87,30 +87,22 @@ class Fabric {
   }
   bool reachable(NodeId from, NodeId to) const { return node_up(from) && node_up(to); }
 
-  /// Installs (or clears, with nullptr) the fabric-global message fault
-  /// model consulted by RPC and pub/sub for every cross-node message. Not
-  /// owned. For targeted (per-link / per-node) injection install a
-  /// LinkFaultMatrix instead; an installed matrix takes precedence.
-  void set_fault_model(sim::MessageFaultModel* faults) { faults_ = faults; }
-  sim::MessageFaultModel* fault_model() const { return faults_; }
-
-  /// Installs (or clears, with nullptr) the link-targeted fault topology.
-  /// Not owned. Takes precedence over a fabric-global model.
+  /// Installs (or clears, with nullptr) the message fault topology that
+  /// RPC and pub/sub consult for every cross-node message. Not owned. A
+  /// fabric-wide fault profile is the matrix's global default.
   void set_fault_matrix(sim::LinkFaultMatrix* matrix) { fault_matrix_ = matrix; }
   sim::LinkFaultMatrix* fault_matrix() const { return fault_matrix_; }
 
-  /// True when any message-fault source is installed; the network layers
-  /// branch to their fault-aware paths on this.
-  bool faults_installed() const { return fault_matrix_ != nullptr || faults_ != nullptr; }
+  /// True when a fault matrix is installed; the network layers branch to
+  /// their fault-aware paths on this.
+  bool faults_installed() const { return fault_matrix_ != nullptr; }
 
   /// Fate of one message on the `from`->`to` hop. Loopback traffic is exempt
   /// (same-host queues neither lose nor reorder), as is everything when no
-  /// fault source is installed.
+  /// fault matrix is installed.
   sim::FaultDecision message_fate(NodeId from, NodeId to) {
-    if (from == to) return {};
-    if (fault_matrix_ != nullptr) return fault_matrix_->next(from.value, to.value);
-    if (faults_ != nullptr) return faults_->next();
-    return {};
+    if (from == to || fault_matrix_ == nullptr) return {};
+    return fault_matrix_->next(from.value, to.value);
   }
 
  private:
@@ -123,7 +115,6 @@ class Fabric {
   sim::Rng rng_;
   std::vector<std::uint8_t> down_dense_;  // NodeId.value -> 1 while down
   std::unordered_set<std::uint32_t> down_sparse_;
-  sim::MessageFaultModel* faults_ = nullptr;
   sim::LinkFaultMatrix* fault_matrix_ = nullptr;
 };
 

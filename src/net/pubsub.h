@@ -133,8 +133,8 @@ class PubSubBus {
     return it == topics_.end() ? 0 : it->second.size();
   }
 
-  /// Messages dropped on the wire by the installed fault model (the model
-  /// counts globally; this counts this bus's share).
+  /// Messages dropped on the wire by the installed fault matrix (the matrix
+  /// counts per link; this counts this bus's share).
   std::uint64_t wire_drops() const { return wire_drops_; }
 
  private:
@@ -147,7 +147,7 @@ class PubSubBus {
     });
   }
 
-  /// Slow path when a message fault model is installed: every subscriber's
+  /// Slow path when a fault matrix is installed: every subscriber's
   /// fate is decided up front (in subscriber order -- one rng draw sequence
   /// per publish), then deliveries are scheduled. A dropped message simply
   /// never arrives; a duplicated one is delivered a second time after a

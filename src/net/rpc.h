@@ -8,7 +8,7 @@
 // scalability experiments.
 //
 // Failures: calls to/from a down node throw RpcError. Handler exceptions
-// propagate to the caller. When a message fault model is installed on the
+// propagate to the caller. When a fault matrix is installed on the
 // fabric, a request or response may be lost on the wire: the caller then
 // waits out `call_timeout` and throws RpcError{timeout} -- the signal the
 // retry layer (net/retry.h) turns into a resubmission. Duplicate verdicts

@@ -67,7 +67,7 @@ void FlightRecorder::arm() {
 void FlightRecorder::sample() {
   const sim::SimTime now = sim_.now();
   if (sampled_once_ && now <= last_sample_at_) return;
-  if (config_.sample_kernel) sim_.publish_shard_metrics();
+  sim_.publish_kernel_metrics();
 
   TimelineFrame frame;
   frame.at = now;

@@ -13,10 +13,7 @@
 // Determinism: sample times are virtual, metric names are walked in the
 // registry's sorted order, and series ids are assigned at first sight of a
 // name -- so two same-seed runs with the same cadence export byte-identical
-// timeline JSON. With `sample_kernel` off that identity also holds across
-// event-shard counts (sharding never changes dispatch order); with it on,
-// the kernel.shard<k>.* counters the sampler publishes are intentionally
-// shard-count-dependent. See DESIGN.md section 14.
+// timeline JSON. See DESIGN.md section 14.
 //
 // Null-recorder guard (the tracer idiom): the kernel never calls into the
 // recorder -- an uninstrumented run pays nothing, not even a branch. The
@@ -43,11 +40,6 @@ struct RecorderConfig {
   sim::SimDuration cadence = 5'000'000;  // 5 ms
   /// Ring capacity in frames; the oldest frame is dropped on overflow.
   std::size_t capacity = 4096;
-  /// Flush the kernel's shard tallies (Simulation::publish_shard_metrics)
-  /// into the registry before each snapshot, so per-shard event rates show
-  /// up as time series. Off, the timeline is byte-identical across shard
-  /// counts; on, the kernel.shard<k>.* series are shard-layout-specific.
-  bool sample_kernel = true;
 };
 
 /// One sampled frame. Metric identity is an index into the recorder's

@@ -27,8 +27,8 @@
 //     same-time events by creation sequence, the plan is as reproducible as
 //     the workload it perturbs.
 //
-// This header must stay free of OS time/thread/randomness per the sim-rules
-// lint: all nondeterminism funnels through the forked Rng.
+// This header must stay free of OS time/thread/randomness per the sim-*
+// analyzer rules: all nondeterminism funnels through the forked Rng.
 #pragma once
 
 #include <cstdint>
@@ -126,8 +126,8 @@ class MessageFaultModel {
   std::uint64_t delays_ = 0;
 };
 
-/// Fault topology over directed links. Verdict source for the fabric when
-/// faults must target one link or node instead of the whole interconnect.
+/// Fault topology over directed links: the fabric's one verdict source,
+/// whether faults target one link or node or the whole interconnect.
 ///
 /// Resolution order per (src, dst) message, most specific wins:
 ///   1. per-link override          set_link(src, dst, cfg)

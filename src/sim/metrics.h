@@ -136,13 +136,6 @@ class MetricScope {
   /// Nested scope: scoped("region").scoped("n0") names "region.n0.*".
   MetricScope scoped(std::string_view sub) const { return {*registry_, full(sub)}; }
 
-  /// Shard-indexed nested scope: shard(2) names "<prefix>.shard2.*". The
-  /// canonical spelling for per-event-shard counters (kernel dispatch
-  /// balance, merge pressure) so run-report consumers can group on it.
-  MetricScope shard(std::uint32_t index) const {
-    return scoped("shard" + std::to_string(index));
-  }
-
   const std::string& prefix() const { return prefix_; }
 
  private:

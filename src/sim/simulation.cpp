@@ -4,9 +4,7 @@
 
 namespace pacon::sim {
 
-Simulation::Simulation(std::uint64_t seed, std::uint32_t shards) : rng_(seed) {
-  if (shards > 1) shards_ = std::make_unique<ShardedEventQueue>(shards);
-}
+Simulation::Simulation(std::uint64_t seed) : rng_(seed) {}
 
 Simulation::~Simulation() {
   // Teardown order matters for the coroutine-lifetime check: discard queued
@@ -14,7 +12,6 @@ Simulation::~Simulation() {
   // nested frames), then audit for unowned frames this kernel scheduled that
   // nobody reclaimed.
   queue_.clear();
-  if (shards_) shards_->clear();
   callback_slots_.clear();
   free_callback_slots_.clear();
   roots_.clear();
@@ -46,20 +43,6 @@ std::size_t Simulation::reap_completed_roots() {
   }
   roots_.resize(keep);
   return reaped;
-}
-
-void Simulation::schedule_on(std::uint32_t shard, SimTime at, std::coroutine_handle<> h) {
-  assert(at >= now_);
-  assert(h);
-  debug::coro_scheduled(h.address(), this);
-  const KernelEvent ev{at, next_seq_++, KernelEvent::encode_handle(h.address())};
-  if (!shards_) {
-    queue_.push(ev);
-    return;
-  }
-  const std::uint32_t target = clamp_shard(shard);
-  if (target != current_shard_) ++cross_shard_schedules_;
-  shards_->push(target, ev);
 }
 
 std::uint32_t Simulation::acquire_callback_slot(SmallFunc fn) {
@@ -95,21 +78,7 @@ void Simulation::dispatch(const KernelEvent& ev) {
   }
 }
 
-void Simulation::dispatch_sharded() {
-  // Restore the popped event's shard before running it: everything the
-  // event schedules inherits this placement, which is what keeps a node
-  // group's causal chain on its own shard.
-  current_shard_ = shards_->top_shard();
-  const KernelEvent ev = shards_->pop();
-  dispatch(ev);
-}
-
 bool Simulation::step() {
-  if (shards_) {
-    if (shards_->empty()) return false;
-    dispatch_sharded();
-    return true;
-  }
   if (queue_.empty()) return false;
   const KernelEvent ev = queue_.pop();
   dispatch(ev);
@@ -117,10 +86,6 @@ bool Simulation::step() {
 }
 
 void Simulation::run() {
-  if (shards_) {
-    while (!shards_->empty()) dispatch_sharded();
-    return;
-  }
   while (!queue_.empty()) {
     const KernelEvent ev = queue_.pop();
     dispatch(ev);
@@ -128,11 +93,6 @@ void Simulation::run() {
 }
 
 bool Simulation::run_until(SimTime deadline) {
-  if (shards_) {
-    while (!shards_->empty() && shards_->top().at <= deadline) dispatch_sharded();
-    if (now_ < deadline) now_ = deadline;
-    return !shards_->empty();
-  }
   while (!queue_.empty() && queue_.top().at <= deadline) {
     const KernelEvent ev = queue_.pop();
     dispatch(ev);
@@ -141,31 +101,14 @@ bool Simulation::run_until(SimTime deadline) {
   return !queue_.empty();
 }
 
-void Simulation::publish_shard_metrics() {
+void Simulation::publish_kernel_metrics() {
   auto set = [](Counter& c, std::uint64_t v) {
     c.reset();
     c.add(v);
   };
   MetricScope kernel = metrics_.scoped("kernel");
-  kernel.gauge("shards").set(static_cast<std::int64_t>(shard_count()));
-  set(kernel.counter("cross_shard_schedules"), cross_shard_schedules_);
-  set(kernel.counter("merge_stalls"), merge_stalls());
-  if (!shards_) {
-    // Unsharded kernels keep no per-shard tallies; the single shard's
-    // dispatch count is the kernel's event count.
-    MetricScope s0 = kernel.shard(0);
-    set(s0.counter("dispatched"), events_processed_);
-    set(s0.counter("pushed"), next_seq_);
-    return;
-  }
-  const std::vector<ShardStats>& stats = shards_->stats();
-  for (std::uint32_t i = 0; i < stats.size(); ++i) {
-    MetricScope s = kernel.shard(i);
-    // lint-allow: metric-hot-loop once-per-report flush over the shard count, not a dispatch path
-    set(s.counter("dispatched"), stats[i].dispatched);
-    // lint-allow: metric-hot-loop once-per-report flush over the shard count, not a dispatch path
-    set(s.counter("pushed"), stats[i].pushed);
-  }
+  set(kernel.counter("dispatched"), events_processed_);
+  set(kernel.counter("scheduled"), next_seq_);
 }
 
 }  // namespace pacon::sim

@@ -8,22 +8,12 @@
 //
 // Events at equal timestamps run in FIFO order of scheduling (a strictly
 // monotone sequence number breaks ties), which keeps runs reproducible.
-//
-// The queue can be partitioned into per-region/node-group shards (see
-// event_shards.h): events inherit the shard of the dispatch context that
-// scheduled them, deployment code places node groups with spawn_on /
-// ShardScope, and a deterministic cross-shard merge ranked by (time,
-// shard, sequence) -- with the global sequence making the shard rank
-// unreachable -- keeps sharded dispatch order, and therefore determinism
-// traces, byte-identical to an unsharded run. The default single-shard
-// kernel bypasses the merge entirely and runs the plain EventHeap path.
 #pragma once
 
 #include <cassert>
 #include <coroutine>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <source_location>
 #include <stdexcept>
@@ -33,7 +23,6 @@
 
 #include "debug/coro_check.h"
 #include "sim/event_heap.h"
-#include "sim/event_shards.h"
 #include "sim/metrics.h"
 #include "sim/random.h"
 #include "sim/small_func.h"
@@ -49,9 +38,7 @@ namespace pacon::sim {
 
 class Simulation {
  public:
-  /// `shards` partitions the event queue (1 = the classic single global
-  /// queue). Sharding never changes dispatch order -- see event_shards.h.
-  explicit Simulation(std::uint64_t seed = 1, std::uint32_t shards = 1);
+  explicit Simulation(std::uint64_t seed = 1);
   Simulation(const Simulation&) = delete;
   Simulation& operator=(const Simulation&) = delete;
   ~Simulation();
@@ -80,90 +67,21 @@ class Simulation {
 
   /// Resumes `h` at absolute virtual time `at` (>= now). Defined inline:
   /// this is the kernel's hottest entry (every delay/yield/channel wakeup
-  /// lands here), and the unsharded push must stay inlined into callers.
+  /// lands here), and the push must stay inlined into callers.
   void schedule(SimTime at, std::coroutine_handle<> h) {
     assert(at >= now_);
     assert(h);
     debug::coro_scheduled(h.address(), this);
-    const KernelEvent ev{at, next_seq_++, KernelEvent::encode_handle(h.address())};
-    if (shards_) [[unlikely]] {
-      shards_->push(current_shard_, ev);
-      return;
-    }
-    queue_.push(ev);
+    queue_.push(KernelEvent{at, next_seq_++, KernelEvent::encode_handle(h.address())});
   }
 
   /// Resumes `h` at the current virtual time, after already-queued events.
   void schedule_now(std::coroutine_handle<> h) { schedule(now_, h); }
 
-  // ---- Event shards ---------------------------------------------------------
-  //
-  // Placement policy only: an event's shard decides which per-shard queue
-  // holds it, never when it runs (the merge pops the global (at, seq)
-  // minimum). Events inherit the shard of the dispatch context that
-  // scheduled them, so a node group pinned at spawn time keeps its whole
-  // causal chain -- timers, channel wakeups, RPC completions -- on its
-  // shard; only cross-group messages hop shards, and those hops are
-  // counted as cross-shard traffic.
-
-  /// Number of event shards (1 = unsharded).
-  std::uint32_t shard_count() const {
-    return shards_ ? shards_->shard_count() : 1;
-  }
-
-  /// Shard of the event being dispatched (0 when unsharded / outside
-  /// dispatch); newly scheduled events land here by default.
-  std::uint32_t current_shard() const { return current_shard_; }
-
-  /// RAII pin of the current shard: events scheduled (and processes
-  /// spawned) inside the scope land on `shard` (modulo shard_count()).
-  /// Deployment code uses this to place node groups; dispatch restores
-  /// each event's own shard automatically.
-  class ShardScope {
-   public:
-    ShardScope(Simulation& sim, std::uint32_t shard)
-        : sim_(sim), prev_(sim.current_shard_) {
-      sim_.current_shard_ = sim_.clamp_shard(shard);
-    }
-    ShardScope(const ShardScope&) = delete;
-    ShardScope& operator=(const ShardScope&) = delete;
-    ~ShardScope() { sim_.current_shard_ = prev_; }
-
-   private:
-    Simulation& sim_;
-    std::uint32_t prev_;
-  };
-
-  /// spawn() with explicit shard placement (modulo shard_count()).
-  void spawn_on(std::uint32_t shard, Task<> process,
-                std::source_location loc = std::source_location::current()) {
-    if (shards_ && clamp_shard(shard) != current_shard_) ++cross_shard_schedules_;
-    ShardScope scope(*this, shard);
-    spawn_at(now_, std::move(process), loc);
-  }
-
-  /// schedule() with explicit shard placement (modulo shard_count()).
-  void schedule_on(std::uint32_t shard, SimTime at, std::coroutine_handle<> h);
-
-  /// Schedules (and dispatches) targeting a shard other than the caller's.
-  std::uint64_t cross_shard_schedules() const { return cross_shard_schedules_; }
-
-  /// Pops whose minimum timestamp was shared by >= 2 shard fronts, i.e. the
-  /// cross-shard merge had to arbitrate by global sequence number rather
-  /// than by time alone (0 when unsharded). See event_shards.h.
-  std::uint64_t merge_stalls() const { return shards_ ? shards_->merge_stalls() : 0; }
-
-  /// Per-shard queue traffic; empty when unsharded (the single-queue
-  /// kernel keeps no per-shard tallies -- events_processed() covers it).
-  const std::vector<ShardStats>* shard_stats() const {
-    return shards_ ? &shards_->stats() : nullptr;
-  }
-
-  /// Flushes the kernel's shard counters into the metric registry
-  /// ("kernel.shard<k>.dispatched/pushed", "kernel.cross_shard_schedules",
-  /// "kernel.merge_stalls", "kernel.shards") so run reports expose shard
-  /// balance. Idempotent: counters are overwritten, not accumulated.
-  void publish_shard_metrics();
+  /// Flushes the kernel's event counts into the metric registry:
+  /// "kernel.dispatched" (events processed) and "kernel.scheduled" (events
+  /// ever queued). Idempotent: counters are overwritten, not accumulated.
+  void publish_kernel_metrics();
 
   /// Destroys root coroutine frames that have run to completion (they park
   /// at their final suspension point otherwise). Long multi-wave scenarios
@@ -181,12 +99,7 @@ class Simulation {
     assert(at >= now_);
     assert(fn);
     const std::uint32_t slot = acquire_callback_slot(std::move(fn));
-    const KernelEvent ev{at, next_seq_++, KernelEvent::encode_callback(slot)};
-    if (shards_) [[unlikely]] {
-      shards_->push(current_shard_, ev);
-      return;
-    }
-    queue_.push(ev);
+    queue_.push(KernelEvent{at, next_seq_++, KernelEvent::encode_callback(slot)});
   }
 
   /// Awaitable that suspends the caller for `d` of virtual time.
@@ -296,25 +209,11 @@ class Simulation {
 
  private:
   void dispatch(const KernelEvent& ev);
-  /// Pops the cross-shard merge's global minimum and dispatches it in its
-  /// shard's context. Only reached when shards_ is engaged.
-  void dispatch_sharded();
   std::uint32_t acquire_callback_slot(SmallFunc fn);
-  std::uint32_t clamp_shard(std::uint32_t shard) const {
-    return shards_ ? shard % shards_->shard_count() : 0;
-  }
 
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t events_processed_ = 0;
-  // Engaged only for shard counts >= 2: the single-shard kernel keeps the
-  // exact pre-sharding hot path (queue_ below) -- one predictable null
-  // check per schedule/pop is the whole cost of the feature when off.
-  // Declared with the clock/sequence scalars so the schedule() fast path
-  // reads one cache line before touching the queue.
-  std::unique_ptr<ShardedEventQueue> shards_;
-  std::uint32_t current_shard_ = 0;
-  std::uint64_t cross_shard_schedules_ = 0;
   EventHeap queue_;
   // Callback storage for KernelEvent payloads: an event's payload indexes
   // into callback_slots_; freed slots recycle through free_callback_slots_,

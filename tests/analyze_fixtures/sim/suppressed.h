@@ -1,12 +1,9 @@
 // Fixture: every violation in this file is silenced by an inline lint-allow
-// (trailing form, full-line-comment form, comma-list form, and the legacy
-// `sim-rules` blanket alias). The analyzer must report zero findings and
-// exactly four suppressions here.
+// (trailing form, full-line-comment form, comma-list form). The analyzer
+// must report zero findings and exactly three suppressions here.
 #pragma once
 
 namespace fixture {
-
-inline int legacy_roll() { return rand(); }  // lint-allow: sim-rules the retired gate's blanket id aliases the sim-* family
 
 // lint-allow: sim-os-lock the full-line-comment form governs the next code line
 inline std::mutex big_lock;

@@ -103,10 +103,10 @@ TEST(AnalyzeFixtures, EveryRuleFiresExactlyWhereAnnotated) {
 }
 
 TEST(AnalyzeFixtures, EveryLintAllowFormSuppresses) {
-  // suppressed.h: trailing, full-line-above, comma-list, and the legacy
-  // `sim-rules` alias -- four violations, all silenced, none live.
+  // suppressed.h: trailing, full-line-above, and comma-list forms -- three
+  // violations, all silenced, none live.
   const Result result = run_analysis(fixture_options(), nullptr);
-  EXPECT_EQ(result.suppressed, 4);
+  EXPECT_EQ(result.suppressed, 3);
   for (const Finding& f : result.findings) {
     EXPECT_EQ(f.file.find("suppressed"), std::string::npos)
         << f.file << ":" << f.line << ": " << f.rule << " escaped its lint-allow";

@@ -2,12 +2,10 @@
 // scripts/check.sh sanitizer leg).
 //
 // Exercises the full bench path -- wave-spawned clients, zipf hot-directory
-// load, shared path-intern arena, sharded kernel -- at a few hundred
-// clients across a shard-count matrix including the 1-shard degenerate
-// case, and asserts the sharding invariant end to end: every result field
-// that describes the simulated system (ops, events, virtual time, interned
-// namespace) is identical for any shard count. bench/mega_scalability is
-// this exact scenario at >= 10^6 clients.
+// load, shared path-intern arena -- at a few hundred clients, and asserts
+// that a same-config rerun reproduces every result field that describes the
+// simulated system (ops, events, virtual time, interned namespace).
+// bench/mega_scalability is this exact scenario at >= 10^6 clients.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -20,59 +18,39 @@
 namespace pacon {
 namespace {
 
-harness::MegaConfig smoke_config(std::uint32_t shards) {
+harness::MegaConfig smoke_config() {
   harness::MegaConfig cfg;
   cfg.clients = 600;
   cfg.nodes = 8;
   cfg.wave = 128;
-  cfg.shards = shards;
   cfg.seed = 11;
   cfg.hot.directories = 16;
   cfg.hot.files_per_dir = 64;
   return cfg;
 }
 
-TEST(MegaSmoke, ShardMatrixProducesIdenticalSimulatedResults) {
-  harness::MegaResult base{};
-  for (const std::uint32_t shards : {1u, 2u, 4u}) {
-    const harness::MegaConfig cfg = smoke_config(shards);
-    const harness::MegaResult r = harness::run_mega(cfg);
-    EXPECT_EQ(r.shard_count, shards);
-    EXPECT_EQ(r.clients_completed, cfg.clients) << "shards=" << shards;
-    EXPECT_EQ(r.ops_failed, 0u) << "shards=" << shards;
-    EXPECT_GT(r.ops_ok, 0u);
-    if (shards == 1) {
-      base = r;
-      EXPECT_EQ(r.merge_stalls, 0u) << "unsharded kernel cannot stall on a merge";
-      continue;
-    }
-    // The simulated system must be oblivious to shard count: the sharded
-    // queue dispatches in global (time, seq) order (sim/event_shards.h), so
-    // only host-side balance counters may differ from the 1-shard run.
-    EXPECT_EQ(r.ops_ok, base.ops_ok) << "shards=" << shards;
-    EXPECT_EQ(r.events, base.events) << "shards=" << shards;
-    EXPECT_DOUBLE_EQ(r.virtual_seconds, base.virtual_seconds) << "shards=" << shards;
-    EXPECT_EQ(r.interned_paths, base.interned_paths) << "shards=" << shards;
-    EXPECT_EQ(r.region_pending_paths, base.region_pending_paths) << "shards=" << shards;
-    EXPECT_EQ(r.reaped_roots, base.reaped_roots) << "shards=" << shards;
-  }
+TEST(MegaSmoke, RerunProducesIdenticalSimulatedResults) {
+  const harness::MegaConfig cfg = smoke_config();
+  const harness::MegaResult base = harness::run_mega(cfg);
+  EXPECT_EQ(base.clients_completed, cfg.clients);
+  EXPECT_EQ(base.ops_failed, 0u);
+  EXPECT_GT(base.ops_ok, 0u);
+
+  const harness::MegaResult r = harness::run_mega(cfg);
+  EXPECT_EQ(r.ops_ok, base.ops_ok);
+  EXPECT_EQ(r.events, base.events);
+  EXPECT_DOUBLE_EQ(r.virtual_seconds, base.virtual_seconds);
+  EXPECT_EQ(r.interned_paths, base.interned_paths);
+  EXPECT_EQ(r.region_pending_paths, base.region_pending_paths);
+  EXPECT_EQ(r.reaped_roots, base.reaped_roots);
 }
 
 TEST(MegaSmoke, WaveSpawningBoundsResidentFrames) {
-  const harness::MegaConfig cfg = smoke_config(2);
+  const harness::MegaConfig cfg = smoke_config();
   const harness::MegaResult r = harness::run_mega(cfg);
   // Every client coroutine parks at completion and must be reaped by the
   // between-wave sweeps, or a 10^6-client run would hold 10^6 frames.
   EXPECT_GE(r.reaped_roots, cfg.clients);
-}
-
-TEST(MegaSmoke, ShardBalanceCountersSeeTraffic) {
-  const harness::MegaConfig cfg = smoke_config(4);
-  const harness::MegaResult r = harness::run_mega(cfg);
-  EXPECT_GT(r.min_shard_dispatched, 0u) << "a shard never dispatched anything";
-  EXPECT_GE(r.max_shard_dispatched, r.min_shard_dispatched);
-  EXPECT_GT(r.merge_stalls, 0u) << "4 live shards must arbitrate at least once";
-  EXPECT_GT(r.cross_shard_schedules, 0u) << "wave spawns place clients cross-shard";
 }
 
 // ---- Hot-directory workload (the mega bench's default load) ---------------

@@ -157,17 +157,20 @@ TEST(PubSub, FaultModelDropsAndDuplicatesAreAccounted) {
   sim::MessageFaultConfig fcfg;
   fcfg.drop_prob = 0.15;
   fcfg.duplicate_prob = 0.15;
-  sim::MessageFaultModel faults(sim.rng().fork("faults"), fcfg);
-  fabric.set_fault_model(&faults);
+  sim::LinkFaultMatrix faults(sim.rng().fork("faults"), fcfg);
+  fabric.set_fault_matrix(&faults);
   PubSubBus<Msg> bus(sim, fabric);
   auto sub = bus.subscribe("t", NodeId{0});
   const int sent = 500;
   std::size_t scheduled = 0;
   for (int i = 0; i < sent; ++i) scheduled += bus.publish(NodeId{1}, "t", Msg{1, i});
   sim.run();
+  const sim::MessageFaultModel* lane = faults.lane_model(1, 0);
+  ASSERT_NE(lane, nullptr);
   EXPECT_GT(bus.wire_drops(), 0u);
-  EXPECT_GT(faults.duplicates(), 0u);
-  EXPECT_EQ(sub->depth(), sent - bus.wire_drops() + faults.duplicates());
+  EXPECT_EQ(lane->drops(), bus.wire_drops());
+  EXPECT_GT(lane->duplicates(), 0u);
+  EXPECT_EQ(sub->depth(), sent - bus.wire_drops() + lane->duplicates());
   EXPECT_EQ(scheduled, sub->depth());
   int last = -1;
   while (auto m = sub->try_recv()) {
@@ -191,7 +194,7 @@ TEST(PubSub, FaultScheduleIsSeedDeterministic) {
   EXPECT_NE(run(1), run(2));
 }
 
-// Without an installed fault model the bus takes the zero-overhead fast
+// Without an installed fault matrix the bus takes the zero-overhead fast
 // path; behaviour is identical to a healthy fabric.
 TEST(PubSub, NoFaultModelMeansNoDrops) {
   Simulation sim;

@@ -195,8 +195,8 @@ TEST(Rpc, LostRequestTimesOut) {
   Fabric fabric(sim, no_jitter());
   sim::MessageFaultConfig fcfg;
   fcfg.drop_prob = 1.0;
-  sim::MessageFaultModel faults(sim.rng().fork("faults"), fcfg);
-  fabric.set_fault_model(&faults);
+  sim::LinkFaultMatrix faults(sim.rng().fork("faults"), fcfg);
+  fabric.set_fault_matrix(&faults);
   RpcService<EchoReq, EchoResp> svc(
       sim, fabric, NodeId{0},
       [](EchoReq r) -> Task<EchoResp> { co_return EchoResp{r.x}; });
@@ -208,7 +208,9 @@ TEST(Rpc, LostRequestTimesOut) {
   }
   // The caller burned exactly the call timeout waiting on the lost request.
   EXPECT_EQ(sim.now(), 5'000'000u);
-  EXPECT_EQ(faults.drops(), 1u);
+  const sim::MessageFaultModel* request_lane = faults.lane_model(1, 0);
+  ASSERT_NE(request_lane, nullptr);
+  EXPECT_EQ(request_lane->drops(), 1u);
   EXPECT_EQ(svc.requests_served(), 0u);
 }
 
@@ -217,15 +219,15 @@ TEST(Rpc, LoopbackExemptFromFaultModel) {
   Fabric fabric(sim, no_jitter());
   sim::MessageFaultConfig fcfg;
   fcfg.drop_prob = 1.0;  // every cross-node message would be lost
-  sim::MessageFaultModel faults(sim.rng().fork("faults"), fcfg);
-  fabric.set_fault_model(&faults);
+  sim::LinkFaultMatrix faults(sim.rng().fork("faults"), fcfg);
+  fabric.set_fault_matrix(&faults);
   RpcService<EchoReq, EchoResp> svc(
       sim, fabric, NodeId{0},
       [](EchoReq r) -> Task<EchoResp> { co_return EchoResp{r.x}; });
   // Same-host queues do not lose messages: the local call still completes.
   const auto resp = sim::run_task(sim, svc.call(NodeId{0}, EchoReq{3}));
   EXPECT_EQ(resp.x, 3);
-  EXPECT_EQ(faults.drops(), 0u);
+  EXPECT_EQ(faults.lane_model(0, 0), nullptr) << "loopback drew a fault verdict";
 }
 
 TEST(Retry, BackoffIsDeterministicPerSeed) {

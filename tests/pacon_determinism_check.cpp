@@ -123,60 +123,6 @@ std::vector<std::string> run_traced(std::uint64_t seed) {
   return trace;
 }
 
-/// Sharded-kernel variant: the same deployment with the event kernel split
-/// into `shards` shards and each client's process chain placed on its own
-/// shard via spawn_on. Returns the full event trace; the contract under
-/// test is that this trace is byte-identical for ANY shard count, because
-/// the cross-shard merge dispatches in global (time, seq) order
-/// (sim/event_shards.h) -- shard placement must be invisible.
-std::vector<std::string> run_traced_sharded(std::uint64_t seed, std::uint32_t shards) {
-  harness::TestBedConfig cfg;
-  cfg.kind = harness::SystemKind::pacon;
-  cfg.client_nodes = kClients;
-  cfg.seed = seed;
-  cfg.shards = shards;
-  harness::TestBed bed(cfg);
-
-  std::vector<std::string> trace;
-  bed.sim().set_trace_hook([&trace](const sim::Simulation::TraceRecord& r) {
-    trace.push_back(format_record(r));
-  });
-
-  const fs::Credentials creds{1000, 1000};
-  bed.provision_workspace("/w", creds);
-  std::vector<std::unique_ptr<wl::MetaClient>> clients;
-  for (int i = 0; i < kClients; ++i) {
-    clients.push_back(bed.make_client(static_cast<std::size_t>(i), "/w", creds));
-  }
-
-  // Per-client create+stat chains, client i pinned to shard i (modulo the
-  // shard count); the barrier-forcing readdir runs after all chains drain.
-  std::uint64_t done = 0;
-  for (int i = 0; i < kClients; ++i) {
-    sim::Rng rng = sim::Rng(seed).fork("shard-stat").fork(static_cast<std::uint64_t>(i));
-    // lint-allow: coro-param-ref `clients`/`done` are named locals outliving the step loop
-    bed.sim().spawn_on(static_cast<std::uint32_t>(i), [](wl::MetaClient& c, std::uint64_t& d,
-                                                         fs::Path b, int rank,
-                                                         sim::Rng r) -> sim::Task<> {
-      co_await wl::mdtest_create_phase(c, b, rank, kFilesPerClient);
-      co_await wl::mdtest_stat_phase(c, b, kClients, kFilesPerClient, kStatOps, r);
-      ++d;
-    }(*clients[static_cast<std::size_t>(i)], done, fs::Path::parse("/w"), i, rng));
-  }
-  while (done < static_cast<std::uint64_t>(kClients) && bed.sim().step()) {
-  }
-
-  sim::run_task(bed.sim(), [](harness::TestBed& b,
-                              std::vector<std::unique_ptr<wl::MetaClient>>& cs) -> sim::Task<> {
-    auto listing = co_await cs[0]->readdir(fs::Path::parse("/w"));
-    if (!listing.has_value()) throw std::runtime_error("sharded readdir failed");
-    b.sim().trace_note("phase sharded-readdir entries=" +
-                       std::to_string(listing.value().size()));
-  }(bed, clients));
-  bed.sim().set_trace_hook(nullptr);
-  return trace;
-}
-
 // ---- Faulted runs -----------------------------------------------------------
 
 /// Per-client loop for the faulted scenario: paced creates with periodic
@@ -212,8 +158,7 @@ std::vector<std::string> run_traced_with_faults(std::uint64_t seed) {
   fcfg.delay_prob = 0.10;
   fcfg.delay_min = 10_us;
   fcfg.delay_max = 200_us;
-  sim::MessageFaultModel faults(bed.sim().rng().fork("det-faults"), fcfg);
-  bed.fabric().set_fault_model(&faults);
+  bed.link_faults(fcfg);
 
   std::vector<std::string> trace;
   bed.sim().set_trace_hook([&trace](const sim::Simulation::TraceRecord& r) {
@@ -418,29 +363,6 @@ TEST(PaconDeterminism, TraceCoversKernelAndCommitPath) {
   EXPECT_TRUE(any_contains(trace, "commit op=")) << "no commit notes in trace";
   EXPECT_TRUE(any_contains(trace, "barrier-drained epoch=")) << "no barrier note in trace";
   EXPECT_TRUE(any_contains(trace, "phase final-readdir")) << "workload note missing";
-}
-
-TEST(PaconDeterminism, ShardedRunByteIdenticalToUnsharded) {
-  // The sharded-kernel acceptance property, proven on full traces: the SAME
-  // deployment and workload, with client chains placed on per-client event
-  // shards, must dispatch the byte-identical event stream as the 1-shard
-  // run -- for every shard count, including counts that do not divide the
-  // client population.
-  const std::vector<std::string> unsharded = run_traced_sharded(42, 1);
-  EXPECT_GT(unsharded.size(), 1000u);
-  EXPECT_TRUE(any_contains(unsharded, "phase sharded-readdir")) << "workload note missing";
-  for (const std::uint32_t shards : {2u, 3u, 4u}) {
-    const std::vector<std::string> sharded = run_traced_sharded(42, shards);
-    EXPECT_TRUE(traces_identical(unsharded, sharded)) << "shards=" << shards;
-  }
-}
-
-TEST(PaconDeterminism, ShardedRunSameSeedIsRepeatable) {
-  const std::vector<std::string> run1 = run_traced_sharded(7, 4);
-  const std::vector<std::string> run2 = run_traced_sharded(7, 4);
-  EXPECT_TRUE(traces_identical(run1, run2));
-  const std::vector<std::string> other_seed = run_traced_sharded(8, 4);
-  EXPECT_NE(run1, other_seed) << "different seeds produced identical sharded traces";
 }
 
 TEST(PaconDeterminism, FaultedRunSameSeedProducesIdenticalEventTrace) {

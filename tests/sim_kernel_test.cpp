@@ -237,5 +237,25 @@ TEST(Simulation, TeardownReclaimsBlockedProcesses) {
   gate.reset();
 }
 
+TEST(Simulation, ReapCompletedRootsKeepsLiveProcesses) {
+  Simulation sim;
+  bool late_done = false;
+  for (int p = 0; p < 4; ++p) {
+    sim.spawn([](Simulation& s) -> Task<> { co_await s.delay(5); }(sim));
+  }
+  // lint-allow: coro-param-ref `late_done` is a named local outliving sim.run()
+  sim.spawn([](Simulation& s, bool& done) -> Task<> {
+    co_await s.delay(1000);
+    done = true;
+  }(sim, late_done));
+
+  sim.run_until(100);
+  EXPECT_EQ(sim.reap_completed_roots(), 4u);  // the four short processes
+  EXPECT_EQ(sim.reap_completed_roots(), 0u);  // idempotent
+  sim.run();
+  EXPECT_TRUE(late_done);
+  EXPECT_EQ(sim.reap_completed_roots(), 1u);
+}
+
 }  // namespace
 }  // namespace pacon::sim
