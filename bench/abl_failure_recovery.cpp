@@ -152,15 +152,10 @@ sim::Task<> degraded_client(harness::TestBed& bed, wl::MetaClient& c, std::size_
                             std::uint64_t& ok, std::uint64_t& failed) {
   const fs::Path base = fs::Path::parse("/bench");
   for (std::uint64_t i = 0; bed.sim().now() < kDegradedWindow; ++i) {
-    try {
-      auto r = co_await c.create(
-          base.child("d" + std::to_string(rank) + "_" + std::to_string(i)),
-          fs::FileMode::file_default());
-      if (r) ++ok; else ++failed;
-    } catch (const net::RpcError&) {
-      // Baselines surface wire loss to the app; count it as a failed op.
-      ++failed;
-    }
+    // Baselines surface wire loss to the app as FsError::io: a failed op.
+    auto r = co_await c.create(base.child("d" + std::to_string(rank) + "_" + std::to_string(i)),
+                               fs::FileMode::file_default());
+    if (r) ++ok; else ++failed;
   }
 }
 

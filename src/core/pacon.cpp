@@ -85,40 +85,7 @@ void Pacon::refresh_hints() {
   }
 }
 
-// Public entry points: every basic file interface runs behind guard_faults
-// so node failures surface as FsError::io, not exceptions (satisfying the
-// Table I contract that callers handle errno-style codes only).
 sim::Task<FsResult<void>> Pacon::mkdir(const fs::Path& path, fs::FileMode mode) {
-  return guard_faults(do_mkdir(path, mode));
-}
-sim::Task<FsResult<void>> Pacon::create(const fs::Path& path, fs::FileMode mode) {
-  return guard_faults(do_create(path, mode));
-}
-sim::Task<FsResult<fs::InodeAttr>> Pacon::getattr(const fs::Path& path) {
-  return guard_faults(do_getattr(path));
-}
-sim::Task<FsResult<void>> Pacon::remove(const fs::Path& path) {
-  return guard_faults(do_remove(path));
-}
-sim::Task<FsResult<void>> Pacon::rmdir(const fs::Path& path) {
-  return guard_faults(do_rmdir(path));
-}
-sim::Task<FsResult<std::vector<fs::DirEntry>>> Pacon::readdir(const fs::Path& path) {
-  return guard_faults(do_readdir(path));
-}
-sim::Task<FsResult<std::uint64_t>> Pacon::write(const fs::Path& path, std::uint64_t offset,
-                                                std::uint64_t length) {
-  return guard_faults(do_write(path, offset, length));
-}
-sim::Task<FsResult<std::uint64_t>> Pacon::read(const fs::Path& path, std::uint64_t offset,
-                                               std::uint64_t length) {
-  return guard_faults(do_read(path, offset, length));
-}
-sim::Task<FsResult<void>> Pacon::fsync(const fs::Path& path) {
-  return guard_faults(do_fsync(path));
-}
-
-sim::Task<FsResult<void>> Pacon::do_mkdir(const fs::Path& path, fs::FileMode mode) {
   // Root span of the operation (opened whenever a tracer is installed on
   // the simulation); every layer below hangs its work off op.id().
   obs::Span op(rt_.sim.tracer(), "pacon.mkdir", obs::kNoSpan, node_.value);
@@ -148,7 +115,7 @@ sim::Task<FsResult<void>> Pacon::do_mkdir(const fs::Path& path, fs::FileMode mod
   co_return fs::fail(FsError::invalid);
 }
 
-sim::Task<FsResult<void>> Pacon::do_create(const fs::Path& path, fs::FileMode mode) {
+sim::Task<FsResult<void>> Pacon::create(const fs::Path& path, fs::FileMode mode) {
   obs::Span op(rt_.sim.tracer(), "pacon.create", obs::kNoSpan, node_.value);
   ConsistentRegion* region = nullptr;
   switch (route_of(path, &region)) {
@@ -173,7 +140,7 @@ sim::Task<FsResult<void>> Pacon::do_create(const fs::Path& path, fs::FileMode mo
   co_return fs::fail(FsError::invalid);
 }
 
-sim::Task<FsResult<fs::InodeAttr>> Pacon::do_getattr(const fs::Path& path) {
+sim::Task<FsResult<fs::InodeAttr>> Pacon::getattr(const fs::Path& path) {
   obs::Span op(rt_.sim.tracer(), "pacon.getattr", obs::kNoSpan, node_.value);
   ConsistentRegion* region = nullptr;
   switch (route_of(path, &region)) {
@@ -192,7 +159,7 @@ sim::Task<FsResult<fs::InodeAttr>> Pacon::do_getattr(const fs::Path& path) {
   co_return fs::fail(FsError::invalid);
 }
 
-sim::Task<FsResult<void>> Pacon::do_remove(const fs::Path& path) {
+sim::Task<FsResult<void>> Pacon::remove(const fs::Path& path) {
   obs::Span op(rt_.sim.tracer(), "pacon.remove", obs::kNoSpan, node_.value);
   ConsistentRegion* region = nullptr;
   switch (route_of(path, &region)) {
@@ -212,7 +179,7 @@ sim::Task<FsResult<void>> Pacon::do_remove(const fs::Path& path) {
   co_return fs::fail(FsError::invalid);
 }
 
-sim::Task<FsResult<void>> Pacon::do_rmdir(const fs::Path& path) {
+sim::Task<FsResult<void>> Pacon::rmdir(const fs::Path& path) {
   obs::Span op(rt_.sim.tracer(), "pacon.rmdir", obs::kNoSpan, node_.value);
   ConsistentRegion* region = nullptr;
   switch (route_of(path, &region)) {
@@ -232,7 +199,7 @@ sim::Task<FsResult<void>> Pacon::do_rmdir(const fs::Path& path) {
   co_return fs::fail(FsError::invalid);
 }
 
-sim::Task<FsResult<std::vector<fs::DirEntry>>> Pacon::do_readdir(const fs::Path& path) {
+sim::Task<FsResult<std::vector<fs::DirEntry>>> Pacon::readdir(const fs::Path& path) {
   obs::Span op(rt_.sim.tracer(), "pacon.readdir", obs::kNoSpan, node_.value);
   ConsistentRegion* region = nullptr;
   switch (route_of(path, &region)) {
@@ -251,7 +218,7 @@ sim::Task<FsResult<std::vector<fs::DirEntry>>> Pacon::do_readdir(const fs::Path&
   co_return fs::fail(FsError::invalid);
 }
 
-sim::Task<FsResult<std::uint64_t>> Pacon::do_write(const fs::Path& path, std::uint64_t offset,
+sim::Task<FsResult<std::uint64_t>> Pacon::write(const fs::Path& path, std::uint64_t offset,
                                                 std::uint64_t length) {
   obs::Span op(rt_.sim.tracer(), "pacon.write", obs::kNoSpan, node_.value);
   ConsistentRegion* region = nullptr;
@@ -272,7 +239,7 @@ sim::Task<FsResult<std::uint64_t>> Pacon::do_write(const fs::Path& path, std::ui
   co_return fs::fail(FsError::invalid);
 }
 
-sim::Task<FsResult<std::uint64_t>> Pacon::do_read(const fs::Path& path, std::uint64_t offset,
+sim::Task<FsResult<std::uint64_t>> Pacon::read(const fs::Path& path, std::uint64_t offset,
                                                std::uint64_t length) {
   obs::Span op(rt_.sim.tracer(), "pacon.read", obs::kNoSpan, node_.value);
   ConsistentRegion* region = nullptr;
@@ -292,7 +259,7 @@ sim::Task<FsResult<std::uint64_t>> Pacon::do_read(const fs::Path& path, std::uin
   co_return fs::fail(FsError::invalid);
 }
 
-sim::Task<FsResult<void>> Pacon::do_fsync(const fs::Path& path) {
+sim::Task<FsResult<void>> Pacon::fsync(const fs::Path& path) {
   obs::Span op(rt_.sim.tracer(), "pacon.fsync", obs::kNoSpan, node_.value);
   ConsistentRegion* region = nullptr;
   switch (route_of(path, &region)) {
@@ -326,15 +293,15 @@ sim::Task<FsResult<void>> Pacon::merge_region(const fs::Path& other_root) {
 }
 
 sim::Task<FsResult<std::uint64_t>> Pacon::checkpoint() {
-  return guard_faults(region_->checkpoint(client_id_));
+  return region_->checkpoint(client_id_);
 }
 
 sim::Task<FsResult<void>> Pacon::restore(std::uint64_t id) {
-  return guard_faults(region_->restore(id));
+  return region_->restore(id);
 }
 
 sim::Task<FsResult<void>> Pacon::recover_node_failure(net::NodeId failed) {
-  return guard_faults(region_->recover_from_node_failure(failed));
+  return region_->recover_from_node_failure(failed);
 }
 
 sim::Task<> Pacon::drain() { return region_->drain(client_id_); }

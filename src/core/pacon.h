@@ -8,6 +8,11 @@
 // through the region (strong consistency); operations on merged regions are
 // served read-only from their caches; anything else is redirected to the
 // underlying DFS (weak consistency), subject to the DFS's own checks.
+//
+// Every operation reports failure as an errno-style FsError (Table I). A
+// downed node or a lost message is FsError::io: each RPC client maps a
+// transport failure into its response status, so nothing below this API
+// throws.
 #pragma once
 
 #include <cstdint>
@@ -18,7 +23,6 @@
 #include "core/region.h"
 #include "dfs/client.h"
 #include "fs/lru_cache.h"
-#include "net/rpc.h"
 
 namespace pacon::core {
 
@@ -126,26 +130,6 @@ class Pacon {
 
   void refresh_hints();
 
-  /// Wraps an operation so a downed node or lost message surfaces as
-  /// FsError::io at the API boundary -- Table I callers see errno-style
-  /// codes, never a raw net::RpcError unwinding through application code.
-  template <typename T>
-  static sim::Task<fs::FsResult<T>> guard_faults(sim::Task<fs::FsResult<T>> op);
-
-  // Coroutine bodies of the public basic file interfaces; the public entry
-  // points wrap them with guard_faults().
-  sim::Task<fs::FsResult<void>> do_mkdir(const fs::Path& path, fs::FileMode mode);
-  sim::Task<fs::FsResult<void>> do_create(const fs::Path& path, fs::FileMode mode);
-  sim::Task<fs::FsResult<fs::InodeAttr>> do_getattr(const fs::Path& path);
-  sim::Task<fs::FsResult<void>> do_remove(const fs::Path& path);
-  sim::Task<fs::FsResult<void>> do_rmdir(const fs::Path& path);
-  sim::Task<fs::FsResult<std::vector<fs::DirEntry>>> do_readdir(const fs::Path& path);
-  sim::Task<fs::FsResult<std::uint64_t>> do_write(const fs::Path& path, std::uint64_t offset,
-                                                  std::uint64_t length);
-  sim::Task<fs::FsResult<std::uint64_t>> do_read(const fs::Path& path, std::uint64_t offset,
-                                                 std::uint64_t length);
-  sim::Task<fs::FsResult<void>> do_fsync(const fs::Path& path);
-
   PaconRuntime& rt_;
   net::NodeId node_;
   PaconConfig config_;
@@ -158,14 +142,5 @@ class Pacon {
   fs::HashLruTtlCache<char> parent_hints_;
   std::uint64_t hints_valid_at_ = 0;  // region invalidation counter snapshot
 };
-
-template <typename T>
-sim::Task<fs::FsResult<T>> Pacon::guard_faults(sim::Task<fs::FsResult<T>> op) {
-  try {
-    co_return co_await std::move(op);
-  } catch (const net::RpcError&) {
-    co_return fs::fail(fs::FsError::io);
-  }
-}
 
 }  // namespace pacon::core

@@ -207,7 +207,8 @@ sim::Task<FsResult<void>> ConsistentRegion::check_permission(net::NodeId from,
     // Not cached: consult the DFS (charges full traversal there).
     auto attr = co_await state_for(from).dfs_client->getattr(*it, span);
     if (!attr) {
-      if (leaf) continue;  // leaf may be about to be created
+      // The leaf may be about to be created; a transport failure still fails.
+      if (leaf && attr.error() != FsError::io) continue;
       co_return fs::fail(attr.error());
     }
     if (!fs::permits(attr->mode, attr->uid, attr->gid, config_.creds, want)) {
@@ -424,6 +425,7 @@ sim::Task<FsResult<void>> ConsistentRegion::remove(net::NodeId from, std::uint32
     co_return FsResult<void>{};
   }
   auto done = co_await state_for(from).dfs_client->unlink(path, parent);
+  if (!done && done.error() == FsError::io) co_return done;  // DFS unreachable
   (void)co_await cache_->del(from, path.str(), path.hash(), parent);
   if (!done) co_return fs::fail(done.error());
   co_return FsResult<void>{};
@@ -493,16 +495,8 @@ sim::Task<FsResult<void>> ConsistentRegion::rmdir(net::NodeId from, std::uint32_
       co_await sim_.delay(config_.barrier_retry_delay);
       continue;
     }
-    FsResult<void> result = fs::fail(FsError::io);
-    bool transient = false;
-    try {
-      // sync commit (Table I)
-      result = co_await state_for(from).dfs_client->rmdir(path, parent);
-    } catch (const net::RpcError&) {
-      // Transport failure (MDS down / message lost): keep the epoch/mutex
-      // bookkeeping intact and replay the barrier + rmdir after a delay.
-      transient = true;
-    }
+    // sync commit (Table I)
+    auto result = co_await state_for(from).dfs_client->rmdir(path, parent);
     if (result) {
       ++invalidation_epoch_;
       // Clean the cached subtree (paper: recursive removing cleans the cache).
@@ -517,13 +511,14 @@ sim::Task<FsResult<void>> ConsistentRegion::rmdir(net::NodeId from, std::uint32_
     }
     epochs_.complete_epoch(barrier.epoch);
     barrier_mutex_.unlock();
-    if (transient) {
-      if (attempt + 1 >= config_.barrier_retry_limit) co_return fs::fail(FsError::io);
+    // The MDS never answers io, so io here is a transport failure (MDS down
+    // or message lost): replay the barrier + rmdir after a delay.
+    if (!result && result.error() == FsError::io &&
+        attempt + 1 < config_.barrier_retry_limit) {
       co_await sim_.delay(config_.barrier_retry_delay);
       continue;
     }
-    if (!result) co_return fs::fail(result.error());
-    co_return FsResult<void>{};
+    co_return result;
   }
 }
 
@@ -543,18 +538,12 @@ sim::Task<FsResult<std::vector<fs::DirEntry>>> ConsistentRegion::readdir(
       co_await sim_.delay(config_.barrier_retry_delay);
       continue;
     }
-    FsResult<std::vector<fs::DirEntry>> entries = fs::fail(FsError::io);
-    bool transient = false;
-    try {
-      entries = co_await state_for(from).dfs_client->readdir(path, parent);
-    } catch (const net::RpcError&) {
-      transient = true;
-    }
+    auto entries = co_await state_for(from).dfs_client->readdir(path, parent);
     epochs_.complete_epoch(barrier.epoch);
     barrier_mutex_.unlock();
-    if (transient) {
-      if (attempt + 1 >= config_.barrier_retry_limit) co_return fs::fail(FsError::io);
-      co_await sim_.delay(config_.barrier_retry_delay);
+    if (!entries && entries.error() == FsError::io &&
+        attempt + 1 < config_.barrier_retry_limit) {
+      co_await sim_.delay(config_.barrier_retry_delay);  // transport failure: replay
       continue;
     }
     co_return entries;
@@ -616,6 +605,7 @@ sim::Task<FsResult<std::uint64_t>> ConsistentRegion::write(net::NodeId from,
             co_await sim_.delay(config_.commit_retry_delay);
             continue;
           }
+          if (!spilled && spilled.error() == FsError::io) co_return fs::fail(FsError::io);
         }
         auto wrote = co_await io.write(path, offset, length, parent);
         if (wrote) break;
@@ -816,11 +806,7 @@ sim::Task<bool> ConsistentRegion::apply_and_account(NodeState& node, const OpMes
     const obs::SpanId apply_parent = span_override != obs::kNoSpan ? span_override : msg.span;
     obs::Span apply_span(apply_parent != obs::kNoSpan ? tracer : nullptr, "dfs.apply",
                          apply_parent, node.node.value);
-    try {
-      status = co_await apply_once(node, msg, apply_span.id());
-    } catch (const net::RpcError&) {
-      status = FsError::io;  // node or fabric failure mid-commit
-    }
+    status = co_await apply_once(node, msg, apply_span.id());
     apply_span.finish(status == FsError::ok || status == FsError::exists ? "ok" : "error");
   }
   if (node.commit_generation != generation) {
@@ -909,7 +895,8 @@ sim::Task<FsResult<std::uint64_t>> ConsistentRegion::checkpoint(std::uint32_t cl
   const std::uint64_t id = next_checkpoint_id_++;
   dfs::DfsClient& io = *node_states_.front()->dfs_client;
   const fs::Path dest = checkpoint_path(id);
-  (void)co_await io.mkdir(fs::Path::parse("/.pacon"), fs::FileMode::dir_default());
+  auto parent_made = co_await io.mkdir(fs::Path::parse("/.pacon"), fs::FileMode::dir_default());
+  if (!parent_made && parent_made.error() == FsError::io) co_return fs::fail(FsError::io);
   auto copied = co_await copy_subtree(io, config_.root, dest);
   if (!copied) co_return fs::fail(copied.error());
   last_checkpoint_id_ = id;
@@ -920,7 +907,7 @@ sim::Task<FsResult<void>> ConsistentRegion::restore(std::uint64_t id) {
   dfs::DfsClient& io = *node_states_.front()->dfs_client;
   const fs::Path src = checkpoint_path(id);
   auto exists = co_await io.getattr(src);
-  if (!exists) co_return fs::fail(FsError::not_found);
+  if (!exists) co_return fs::fail(exists.error() == FsError::io ? FsError::io : FsError::not_found);
   // Roll the workspace subtree back to the checkpoint.
   auto removed = co_await remove_subtree(io, config_.root);
   if (!removed) co_return fs::fail(removed.error());

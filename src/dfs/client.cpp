@@ -17,7 +17,17 @@ DfsClient::DfsClient(sim::Simulation& sim, DfsCluster& cluster, net::NodeId node
 sim::Task<MetaResponse> DfsClient::meta_call(MetaRequest req, obs::SpanId span) {
   ++meta_rpcs_;
   if (req.op == MetaOp::lookup) ++lookup_rpcs_;
-  return cluster_.mds().call(node_, std::move(req), span);
+  auto resp = co_await cluster_.mds().call(node_, std::move(req), span);
+  if (!resp) co_return MetaResponse{.status = FsError::io};
+  co_return std::move(*resp);
+}
+
+sim::Task<DataResponse> DfsClient::data_call(DataRequest req, obs::SpanId span) {
+  ++data_rpcs_;
+  StorageServer& server = cluster_.storage_for_chunk(req.chunk);
+  auto resp = co_await server.call(node_, std::move(req), span);
+  if (!resp) co_return DataResponse{.status = FsError::io};
+  co_return std::move(*resp);
 }
 
 const fs::InodeAttr* DfsClient::cache_find(const std::string& path) {
@@ -231,8 +241,7 @@ sim::Task<FsResult<std::uint64_t>> DfsClient::write(const fs::Path& path, std::u
     req.chunk = chunk;
     req.offset_in_chunk = static_cast<std::uint32_t>(in_chunk);
     req.length = static_cast<std::uint32_t>(take);
-    ++data_rpcs_;
-    transfers.push_back(cluster_.storage_for_chunk(chunk).call(node_, std::move(req), op.id()));
+    transfers.push_back(data_call(std::move(req), op.id()));
     pos += take;
   }
   const auto responses = co_await sim::when_all_values(sim_, std::move(transfers));
@@ -275,8 +284,7 @@ sim::Task<FsResult<std::uint64_t>> DfsClient::read(const fs::Path& path, std::ui
     req.chunk = chunk;
     req.offset_in_chunk = static_cast<std::uint32_t>(in_chunk);
     req.length = static_cast<std::uint32_t>(take);
-    ++data_rpcs_;
-    transfers.push_back(cluster_.storage_for_chunk(chunk).call(node_, std::move(req), op.id()));
+    transfers.push_back(data_call(std::move(req), op.id()));
     pos += take;
   }
   const auto responses = co_await sim::when_all_values(sim_, std::move(transfers));

@@ -93,7 +93,11 @@ class DfsClient {
   sim::Task<fs::FsResult<fs::InodeAttr>> resolve_dir(const fs::Path& path,
                                                      obs::SpanId span = obs::kNoSpan);
 
+  /// The client's two RPC helpers: a transport failure comes back as a
+  /// response with status FsError::io (the MDS and storage servers never
+  /// answer io themselves).
   sim::Task<MetaResponse> meta_call(MetaRequest req, obs::SpanId span = obs::kNoSpan);
+  sim::Task<DataResponse> data_call(DataRequest req, obs::SpanId span);
 
   const fs::InodeAttr* cache_find(const std::string& path);
   void cache_insert(const std::string& path, const fs::InodeAttr& attr);

@@ -52,8 +52,8 @@ class MetaServer {
 
   net::NodeId node() const { return node_; }
 
-  sim::Task<MetaResponse> call(net::NodeId from, MetaRequest req,
-                               obs::SpanId parent = obs::kNoSpan) {
+  sim::Task<net::RpcResult<MetaResponse>> call(net::NodeId from, MetaRequest req,
+                                               obs::SpanId parent = obs::kNoSpan) {
     return rpc_->call(from, std::move(req), parent);
   }
 

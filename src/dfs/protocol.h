@@ -35,7 +35,7 @@ struct MetaRequest {
 struct MetaResponse {
   fs::FsError status = fs::FsError::ok;
   fs::InodeAttr attr{};
-  std::vector<fs::DirEntry> entries;
+  std::vector<fs::DirEntry> entries{};
 };
 
 /// Storage-server operation codes (chunked file data).

@@ -36,8 +36,8 @@ class StorageServer {
 
   net::NodeId node() const { return node_; }
 
-  sim::Task<DataResponse> call(net::NodeId from, DataRequest req,
-                               obs::SpanId parent = obs::kNoSpan) {
+  sim::Task<net::RpcResult<DataResponse>> call(net::NodeId from, DataRequest req,
+                                               obs::SpanId parent = obs::kNoSpan) {
     return rpc_->call(from, std::move(req), parent);
   }
 

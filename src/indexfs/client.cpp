@@ -10,6 +10,15 @@ namespace pacon::indexfs {
 using fs::FsError;
 using fs::FsResult;
 
+namespace {
+
+/// A transport failure reads as an io status, like any server-side error.
+IfsResponse or_io(net::RpcResult<IfsResponse> r) {
+  return r ? std::move(*r) : IfsResponse{.status = FsError::io};
+}
+
+}  // namespace
+
 IndexFsClient::IndexFsClient(sim::Simulation& sim, IndexFsCluster& cluster, net::NodeId node,
                              fs::Credentials creds)
     : sim_(sim),
@@ -52,7 +61,8 @@ sim::Task<FsResult<fs::InodeAttr>> IndexFsClient::lookup_component(
       req.name = name;
       req.creds = creds_;
       ++rpcs_;
-      const IfsResponse resp = co_await cluster_.server_for(dir, p).call(node_, std::move(req));
+      const IfsResponse resp =
+          or_io(co_await cluster_.server_for(dir, p).call(node_, std::move(req)));
       if (resp.status == FsError::ok) co_return resp.attr;
       if (resp.status != FsError::not_found) co_return fs::fail(resp.status);
     }
@@ -140,7 +150,8 @@ sim::Task<FsResult<fs::InodeAttr>> IndexFsClient::create_common(const fs::Path& 
   req.mode = mode;
   req.creds = creds_;
   ++rpcs_;
-  const IfsResponse resp = co_await cluster_.server_for(parent->ino, p).call(node_, std::move(req));
+  const IfsResponse resp =
+      or_io(co_await cluster_.server_for(parent->ino, p).call(node_, std::move(req)));
   if (resp.status != FsError::ok) co_return fs::fail(resp.status);
   cache_.insert(path, resp.attr, sim_.now());
   co_return resp.attr;
@@ -197,7 +208,7 @@ sim::Task<FsResult<void>> IndexFsClient::unlink(const fs::Path& path) {
       req.creds = creds_;
       ++rpcs_;
       const IfsResponse resp =
-          co_await cluster_.server_for(parent->ino, p).call(node_, std::move(req));
+          or_io(co_await cluster_.server_for(parent->ino, p).call(node_, std::move(req)));
       if (resp.status == FsError::ok) {
         cache_.erase(path);
         co_return FsResult<void>{};
@@ -225,7 +236,8 @@ sim::Task<FsResult<std::vector<fs::DirEntry>>> IndexFsClient::readdir(const fs::
     req.partition = p;
     req.creds = creds_;
     ++rpcs_;
-    const IfsResponse resp = co_await cluster_.server_for(dir->ino, p).call(node_, std::move(req));
+    const IfsResponse resp =
+        or_io(co_await cluster_.server_for(dir->ino, p).call(node_, std::move(req)));
     if (resp.status != FsError::ok) co_return fs::fail(resp.status);
     for (const auto& [name, attr] : resp.entries) {
       merged.emplace(name, attr.type);
@@ -268,7 +280,7 @@ sim::Task<FsResult<void>> IndexFsClient::flush() {
     req.rows = std::move(rows);
     req.creds = creds_;
     ++rpcs_;
-    const IfsResponse resp = co_await servers[key]->call(node_, std::move(req));
+    const IfsResponse resp = or_io(co_await servers[key]->call(node_, std::move(req)));
     if (resp.status != FsError::ok) co_return fs::fail(resp.status);
   }
   co_return FsResult<void>{};

@@ -93,7 +93,7 @@ struct IfsRequest {
 struct IfsResponse {
   fs::FsError status = fs::FsError::ok;
   fs::InodeAttr attr{};
-  std::vector<std::pair<std::string, fs::InodeAttr>> entries;
+  std::vector<std::pair<std::string, fs::InodeAttr>> entries{};
 };
 
 /// GIGA+ partition tree of one directory.
@@ -146,7 +146,7 @@ class IndexFsServer {
   net::NodeId node() const { return node_; }
   lsm::LsmStore& store() { return *store_; }
 
-  sim::Task<IfsResponse> call(net::NodeId from, IfsRequest req) {
+  sim::Task<net::RpcResult<IfsResponse>> call(net::NodeId from, IfsRequest req) {
     return rpc_->call(from, std::move(req));
   }
 

@@ -199,20 +199,19 @@ sim::Task<KvResponse> MemCacheCluster::route(net::NodeId from, KvRequest req,
                  from.value);
   // Each attempt re-resolves the owner: once repeated failures mark a node
   // suspect, the ring routes the key to its clockwise successor, so a retry
-  // after failover lands on a live server. RpcErrors never escape -- callers
+  // after failover lands on a live server. Once the retries run out callers
   // see KvStatus::unreachable and degrade to DFS pass-through.
   for (std::size_t attempt = 0;; ++attempt) {
     if (ring_.live_node_count() == 0) break;  // every server suspect: give up
     const net::NodeId owner = ring_.node_for_hash(req.key_hash);
-    try {
-      KvResponse resp = co_await server_on(owner).call(from, KvRequest{req}, span.id());
+    auto resp = co_await server_on(owner).call(from, KvRequest{req}, span.id());
+    if (resp) {
       note_success(owner);
       span.finish("ok");
-      co_return resp;
-    } catch (const net::RpcError&) {
-      if (note_failure(owner)) {
-        span.event("kv.failover", "node=" + std::to_string(owner.value));
-      }
+      co_return std::move(*resp);
+    }
+    if (note_failure(owner)) {
+      span.event("kv.failover", "node=" + std::to_string(owner.value));
     }
     if (!config_.retry.should_retry(attempt)) break;
     span.event("kv.retry", "attempt=" + std::to_string(attempt + 1));

@@ -118,8 +118,8 @@ class MemCacheServer {
   net::NodeId node() const { return node_; }
 
   /// RPC entry point used by clients.
-  sim::Task<KvResponse> call(net::NodeId from, KvRequest req,
-                             obs::SpanId parent = obs::kNoSpan) {
+  sim::Task<net::RpcResult<KvResponse>> call(net::NodeId from, KvRequest req,
+                                             obs::SpanId parent = obs::kNoSpan) {
     return rpc_->call(from, std::move(req), parent);
   }
 

@@ -1,6 +1,6 @@
-// Retry/timeout/backoff policy shared by every layer that talks over the
-// fabric: the memcache cluster client (cache-node failover), RPC callers,
-// and the region's commit-resubmission worker.
+// Retry/backoff policy shared by the two layers that resubmit failed work:
+// the memcache cluster client (KvConfig::retry, cache-node failover) and the
+// region's commit-resubmission worker (RegionConfig::commit_retry).
 //
 // Backoff is exponential with full-range multiplicative jitter. The jitter
 // is drawn from a *simulation* Rng stream passed in by the caller, never
@@ -10,12 +10,8 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <cstdint>
-#include <string>
 
-#include "net/rpc.h"
 #include "sim/random.h"
-#include "sim/simulation.h"
 #include "sim/time.h"
 
 namespace pacon::net {
@@ -48,26 +44,5 @@ struct RetryPolicy {
     return static_cast<sim::SimDuration>(std::max(0.0, nominal * jitter));
   }
 };
-
-/// Runs `attempt()` (a callable returning sim::Task<T>) until it succeeds or
-/// the policy's attempts are exhausted; RpcError failures back off with
-/// deterministic jitter. The final error is rethrown to the caller. A traced
-/// caller passes its span so every resubmission lands as a tagged event on
-/// it ("rpc.retry", attempt index) instead of vanishing into the backoff.
-template <typename F>
-auto retry_rpc(sim::Simulation& sim, RetryPolicy policy, sim::Rng& rng, F attempt,
-               obs::SpanId span = obs::kNoSpan) -> decltype(attempt()) {
-  for (std::size_t a = 0;; ++a) {
-    try {
-      co_return co_await attempt();
-    } catch (const RpcError&) {
-      if (!policy.should_retry(a)) throw;
-    }
-    if (obs::Tracer* tracer = sim.tracer(); tracer != nullptr && span != obs::kNoSpan) {
-      tracer->event(span, "rpc.retry", "attempt=" + std::to_string(a + 1));
-    }
-    co_await sim.delay(policy.backoff(a, rng));
-  }
-}
 
 }  // namespace pacon::net

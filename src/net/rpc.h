@@ -7,25 +7,25 @@
 // backpressure -- the saturation behaviour central to the paper's
 // scalability experiments.
 //
-// Failures: calls to/from a down node throw RpcError. Handler exceptions
-// propagate to the caller. When a fault matrix is installed on the
-// fabric, a request or response may be lost on the wire: the caller then
-// waits out `call_timeout` and throws RpcError{timeout} -- the signal the
-// retry layer (net/retry.h) turns into a resubmission. Duplicate verdicts
-// are ignored at this layer: a request/response stream behaves like TCP,
-// which dedups retransmissions; only the pub/sub bus surfaces duplicates.
+// Failures are values: call() returns RpcResult<Resp>, the handler's
+// response or the RpcFailure that lost it. A call to/from a down node fails
+// `unreachable`, a call into a shut-down service fails `shutdown`. When a
+// fault matrix is installed on the fabric, a request or response may be lost
+// on the wire: the caller then waits out `call_timeout` and fails `timeout`.
+// Each client maps the failure into its response's own status at its single
+// call helper. Handlers never throw -- they report failures in the response
+// status -- so a throwing handler fails its worker, a root process nobody
+// awaits, which ends the program (sim/task.h). Duplicate verdicts are
+// ignored at this layer: a request/response stream behaves like TCP, which
+// dedups retransmissions; only the pub/sub bus surfaces duplicates.
 #pragma once
 
 #include <cstddef>
-#include <exception>
 #include <functional>
 #include <memory>
-#include <stdexcept>
-#include <string>
 #include <utility>
-#include <variant>
-#include <vector>
 
+#include "fs/expected.h"
 #include "net/fabric.h"
 #include "obs/trace.h"
 #include "sim/channel.h"
@@ -34,16 +34,11 @@
 
 namespace pacon::net {
 
-class RpcError : public std::runtime_error {
- public:
-  enum class Code { unreachable, shutdown, timeout };
+enum class RpcFailure { unreachable, shutdown, timeout };
 
-  RpcError(Code code, const std::string& what) : std::runtime_error(what), code_(code) {}
-  Code code() const { return code_; }
-
- private:
-  Code code_;
-};
+/// A call's outcome: the handler's response, or the failure that lost it.
+template <typename Resp>
+using RpcResult = fs::Expected<Resp, RpcFailure>;
 
 template <typename Req, typename Resp>
 class RpcService {
@@ -58,8 +53,8 @@ class RpcService {
     /// Nominal request/response wire sizes used for the bandwidth term.
     std::size_t request_bytes = 256;
     std::size_t response_bytes = 256;
-    /// How long a caller waits on a lost request/response before giving up
-    /// with RpcError{timeout} (only reachable under an installed fault
+    /// How long a caller waits on a lost request/response before failing
+    /// with RpcFailure::timeout (only reachable under an installed fault
     /// model; a healthy fabric never loses messages).
     sim::SimDuration call_timeout = 5'000_us;
   };
@@ -92,12 +87,12 @@ class RpcService {
   /// traced caller, the call's wire + queue + service time becomes an
   /// "rpc.call" span under the caller's span (untraced calls skip the span
   /// entirely so background chatter never pollutes a trace).
-  sim::Task<Resp> call(NodeId from, Req req, obs::SpanId parent = obs::kNoSpan) {
+  sim::Task<RpcResult<Resp>> call(NodeId from, Req req, obs::SpanId parent = obs::kNoSpan) {
     obs::Span span(parent != obs::kNoSpan ? sim_.tracer() : nullptr, "rpc.call", parent,
                    from.value);
     if (!fabric_.reachable(from, self_)) {
       span.finish("unreachable");
-      throw RpcError(RpcError::Code::unreachable, "rpc: destination unreachable");
+      co_return fs::Unexpected(RpcFailure::unreachable);
     }
     const sim::FaultDecision req_fate = fabric_.message_fate(from, self_);
     if (req_fate.drop) {
@@ -105,19 +100,19 @@ class RpcService {
       span.event("request_lost");
       co_await sim_.delay(config_.call_timeout);
       span.finish("timeout");
-      throw RpcError(RpcError::Code::timeout, "rpc: request lost on the wire");
+      co_return fs::Unexpected(RpcFailure::timeout);
     }
     co_await sim_.delay(fabric_.one_way(from, self_, config_.request_bytes) +
                         req_fate.extra_delay);
     if (!fabric_.node_up(self_)) {
-      throw RpcError(RpcError::Code::unreachable, "rpc: server died in flight");
+      co_return fs::Unexpected(RpcFailure::unreachable);  // server died in flight
     }
-    Envelope env{std::move(req), std::make_shared<sim::OneShot<Outcome>>(sim_)};
+    Envelope env{std::move(req), std::make_shared<sim::OneShot<Resp>>(sim_)};
     auto result_slot = env.result;
     if (!co_await inbox_.send(std::move(env))) {
-      throw RpcError(RpcError::Code::shutdown, "rpc: service shut down");
+      co_return fs::Unexpected(RpcFailure::shutdown);
     }
-    Outcome outcome = co_await result_slot->take();
+    Resp resp = co_await result_slot->take();
     const sim::FaultDecision resp_fate = fabric_.message_fate(self_, from);
     if (resp_fate.drop) {
       // The server executed the call but the response vanished: the caller
@@ -126,43 +121,32 @@ class RpcService {
       span.event("response_lost");
       co_await sim_.delay(config_.call_timeout);
       span.finish("timeout");
-      throw RpcError(RpcError::Code::timeout, "rpc: response lost on the wire");
+      co_return fs::Unexpected(RpcFailure::timeout);
     }
     co_await sim_.delay(fabric_.one_way(self_, from, config_.response_bytes) +
                         resp_fate.extra_delay);
     if (!fabric_.node_up(from)) {
-      throw RpcError(RpcError::Code::unreachable, "rpc: caller died awaiting response");
-    }
-    if (auto* err = std::get_if<std::exception_ptr>(&outcome)) {
-      span.finish("handler_error");
-      std::rethrow_exception(*err);
+      co_return fs::Unexpected(RpcFailure::unreachable);  // caller died awaiting response
     }
     span.finish("ok");
-    co_return std::move(std::get<Resp>(outcome));
+    co_return std::move(resp);
   }
 
   std::uint64_t requests_served() const { return served_; }
 
  private:
-  using Outcome = std::variant<Resp, std::exception_ptr>;
-
   struct Envelope {
     Req request;
-    std::shared_ptr<sim::OneShot<Outcome>> result;
+    std::shared_ptr<sim::OneShot<Resp>> result;
   };
 
   sim::Task<> worker_loop() {
     for (;;) {
       auto env = co_await inbox_.recv();
       if (!env) break;  // shutdown
-      Outcome outcome{std::exception_ptr{}};
-      try {
-        outcome = co_await handler_(std::move(env->request));
-      } catch (...) {
-        outcome = std::current_exception();
-      }
+      Resp resp = co_await handler_(std::move(env->request));
       ++served_;
-      env->result->set(std::move(outcome));
+      env->result->set(std::move(resp));
     }
   }
 

@@ -6,8 +6,10 @@
 // time, so no synchronization is needed in promise state.
 //
 // Ownership: a Task owns its coroutine frame and destroys it in the
-// destructor. Simulation::spawn() converts a Task into a *detached* root
-// process whose frame self-destructs at completion.
+// destructor. Simulation::spawn() hands a Task to the kernel as a root
+// process; release_detached() turns one into a frame that self-destructs at
+// completion. A task that fails with nobody awaiting it -- a root process or
+// a detached frame -- ends the program.
 #pragma once
 
 #include <cassert>
@@ -45,12 +47,12 @@ struct PromiseBase {
       PromiseBase& p = h.promise();
       debug::coro_done(h.address());
       if (p.continuation) return p.continuation;
+      if (p.error) {
+        // Nobody awaits this process, so nobody can observe its failure;
+        // crashing loudly beats silently dropping a simulated server.
+        std::rethrow_exception(p.error);  // noexcept context -> terminate
+      }
       if (p.detached) {
-        if (p.error) {
-          // A detached process has nobody to observe its failure; crashing
-          // loudly beats silently dropping a simulated server.
-          std::rethrow_exception(p.error);  // noexcept context -> terminate
-        }
         debug::coro_destroyed(h.address());
         h.destroy();
       }

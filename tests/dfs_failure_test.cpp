@@ -196,5 +196,31 @@ TEST(DfsFailure, FlappingLinkEventuallyLandsEverything) {
   }
 }
 
+// A downed MDS is an error status, not an exception: a create and a stat
+// that need it both return FsError::io, and the same client works again
+// once the MDS is back.
+TEST(DfsFailure, DownedMdsReturnsIoStatus) {
+  Fixture f(ftest::kSuiteSeeds[0]);
+  DfsClient c = f.client(1);
+  sim::run_task(f.sim, [](Fixture& fx, DfsClient& a) -> Task<> {
+    const Path file = Path::parse("/f");
+    const Path other = Path::parse("/g");
+    EXPECT_TRUE((co_await a.create(file, fs::FileMode::file_default())).has_value());
+    fx.fabric.set_node_down(net::NodeId{kMds}, true);
+    const auto created = co_await a.create(other, fs::FileMode::file_default());
+    EXPECT_FALSE(created.has_value());
+    if (!created) {
+      EXPECT_EQ(created.error(), FsError::io);
+    }
+    const auto attr = co_await a.getattr(file);
+    EXPECT_FALSE(attr.has_value());
+    if (!attr) {
+      EXPECT_EQ(attr.error(), FsError::io);
+    }
+    fx.fabric.set_node_down(net::NodeId{kMds}, false);
+    EXPECT_TRUE((co_await a.getattr(file)).has_value());
+  }(f, c));
+}
+
 }  // namespace
 }  // namespace pacon::dfs

@@ -379,9 +379,9 @@ TEST(Failure, FencedCachePlaneDegradesToDfsPassThrough) {
   }(w, *c));
 }
 
-// Retry exhaustion against dead servers surfaces KvStatus::unreachable (an
-// RpcError never escapes the cluster client), and recovery restores the
-// original key placement.
+// Retry exhaustion against dead servers surfaces KvStatus::unreachable (the
+// cluster client's terminal status for failed calls), and recovery restores
+// the original key placement.
 TEST(Failure, CacheClusterRetryExhaustionReturnsUnreachable) {
   sim::Simulation sim;
   net::Fabric fabric(sim, net::FabricConfig{});

@@ -11,7 +11,6 @@
 #include <cstdint>
 
 #include "fs/error.h"
-#include "net/rpc.h"
 #include "sim/fault.h"
 #include "sim/simulation.h"
 #include "sim/time.h"
@@ -50,12 +49,13 @@ inline void flap_link(sim::FaultPlan& plan, std::uint32_t src, std::uint32_t dst
 }
 
 /// Application-level retry loop for the synchronous baselines: the DFS and
-/// IndexFS clients surface wire loss as net::RpcError (they model clients
+/// IndexFS clients surface wire loss as FsError::io (they model clients
 /// without a transparent retry layer), so their failure suites retry at the
 /// application, the way an HPC job script re-runs a failed shell command.
 /// `op()` returns a Task<FsResult<...>>; success and `exists` (a retried
 /// create whose first attempt did land but whose response was lost --
-/// at-least-once semantics) both terminate the loop.
+/// at-least-once semantics) both terminate the loop; any other error backs
+/// off and resubmits.
 ///
 /// Lifetime contract (toolchain workaround): `op` is taken by reference and
 /// must stay alive across the whole `co_await eventually(...)` expression.
@@ -78,12 +78,8 @@ template <typename F>
 sim::Task<bool> eventually(sim::Simulation& sim, const F& op, int attempts = 400,
                            sim::SimDuration gap = 300_us) {
   for (int i = 0; i < attempts; ++i) {
-    try {
-      auto r = co_await op();
-      if (r.has_value() || r.error() == fs::FsError::exists) co_return true;
-    } catch (const net::RpcError&) {
-      // timeout/unreachable: back off and resubmit
-    }
+    auto r = co_await op();
+    if (r.has_value() || r.error() == fs::FsError::exists) co_return true;
     co_await sim.delay(gap);
   }
   co_return false;

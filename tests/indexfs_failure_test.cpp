@@ -218,5 +218,34 @@ TEST(IndexFsFailure, FlappingServerLinkEventuallyLandsEverything) {
   }
 }
 
+// A downed index server is an error status, not an exception: a create and
+// a stat routed to it both return FsError::io, and the same client works
+// again once the server is back.
+TEST(IndexFsFailure, DownedServerReturnsIoStatus) {
+  Fixture f(ftest::kSuiteSeeds[0]);
+  PartitionMap& root = f.cluster.map_of(fs::kRootIno);
+  const net::NodeId owner =
+      f.cluster.server_for(fs::kRootIno, root.partition_of(IndexFsCluster::name_hash("f")))
+          .node();
+  IndexFsClient client(f.sim, f.cluster, net::NodeId{kClientA});
+  sim::run_task(f.sim, [](Fixture& fx, IndexFsClient& c, net::NodeId down) -> Task<> {
+    const Path file = Path::parse("/f");
+    fx.fabric.set_node_down(down, true);
+    const auto created = co_await c.create(file, fs::FileMode::file_default());
+    EXPECT_FALSE(created.has_value());
+    if (!created) {
+      EXPECT_EQ(created.error(), FsError::io);
+    }
+    const auto attr = co_await c.getattr(file);
+    EXPECT_FALSE(attr.has_value());
+    if (!attr) {
+      EXPECT_EQ(attr.error(), FsError::io);
+    }
+    fx.fabric.set_node_down(down, false);
+    EXPECT_TRUE((co_await c.create(file, fs::FileMode::file_default())).has_value());
+    EXPECT_TRUE((co_await c.getattr(file)).has_value());
+  }(f, client, owner));
+}
+
 }  // namespace
 }  // namespace pacon::indexfs

@@ -181,7 +181,8 @@ TEST(MemCacheServer, RpcPathChargesWireAndServiceTime) {
   MemCacheServer server(f.sim, f.fabric, NodeId{0});
   const auto resp = sim::run_task(
       f.sim, server.call(NodeId{1}, make(KvRequest::Op::set, "k", "v")));
-  EXPECT_EQ(resp.status, KvStatus::ok);
+  ASSERT_TRUE(resp.has_value());
+  EXPECT_EQ(resp->status, KvStatus::ok);
   // Two remote hops (>= 25us each) plus >= 1.5us service.
   EXPECT_GE(f.sim.now(), 51'500u);
 }

@@ -424,15 +424,12 @@ TEST(LinkFaultMatrix, FabricRoutesVerdictsPerLink) {
   net::RpcService<EchoReq, EchoResp> svc(
       sim, fabric, net::NodeId{0},
       [](EchoReq r) -> Task<EchoResp> { co_return EchoResp{r.x}; });
-  try {
-    sim::run_task(sim, svc.call(net::NodeId{1}, EchoReq{1}));
-    FAIL() << "expected RpcError on the dead link";
-  } catch (const net::RpcError& e) {
-    EXPECT_EQ(e.code(), net::RpcError::Code::timeout);
-  }
-  EXPECT_EQ(sim::run_task(sim, svc.call(net::NodeId{2}, EchoReq{2})).x, 2)
+  const auto dead_link = sim::run_task(sim, svc.call(net::NodeId{1}, EchoReq{1}));
+  ASSERT_FALSE(dead_link.has_value()) << "expected a timeout on the dead link";
+  EXPECT_EQ(dead_link.error(), net::RpcFailure::timeout);
+  EXPECT_EQ(sim::run_task(sim, svc.call(net::NodeId{2}, EchoReq{2}))->x, 2)
       << "an untargeted link must not see the fault";
-  EXPECT_EQ(sim::run_task(sim, svc.call(net::NodeId{0}, EchoReq{3})).x, 3)
+  EXPECT_EQ(sim::run_task(sim, svc.call(net::NodeId{0}, EchoReq{3}))->x, 3)
       << "loopback is exempt from the matrix";
   ASSERT_NE(matrix.lane_model(1, 0), nullptr);
   EXPECT_EQ(matrix.lane_model(1, 0)->drops(), 1u);
