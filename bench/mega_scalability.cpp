@@ -3,11 +3,14 @@
 // Drives harness::run_mega at full scale -- >= 10^6 client processes,
 // wave-spawned, zipf hot-directory load (workload/hotdir), every path
 // spelling shared through one fs::PathInterner arena -- and reports how the
-// engine holds up: host events/second, wall seconds and arena footprint.
+// engine holds up: host events/second, wall seconds, arena footprint and the
+// process's peak resident memory.
 // Tracked across PRs in BENCH_kernel.json as the mega_*
 // keys (scripts/perfbench.sh --mega leg).
 //
 // Usage: mega_scalability [--clients N] [--nodes N] [--wave N] [--json FILE]
+#include <sys/resource.h>
+
 #include <chrono>
 #include <cstdint>
 #include <cstring>
@@ -51,12 +54,16 @@ int main(int argc, char** argv) {
   const double wall = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
 
   const double events_per_sec = wall > 0 ? static_cast<double>(r.events) / wall : 0;
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  const double peak_rss_mb = static_cast<double>(usage.ru_maxrss) / 1024.0;  // KiB -> MiB
   std::cout << "mega_scalability: " << r.clients_completed << " clients on " << cfg.nodes
             << " nodes\n"
             << "  ops ok/failed      = " << r.ops_ok << " / " << r.ops_failed << "\n"
             << "  events             = " << r.events << " (" << static_cast<std::uint64_t>(
                    events_per_sec) << "/s host)\n"
             << "  wall seconds       = " << wall << "\n"
+            << "  peak rss MiB       = " << peak_rss_mb << "\n"
             << "  virtual seconds    = " << r.virtual_seconds << "\n"
             << "  interned paths     = " << r.interned_paths << " (" << r.interner_bytes
             << " bytes arena; region pending after drain " << r.region_pending_paths << ")\n"
@@ -75,7 +82,8 @@ int main(int argc, char** argv) {
         << "  \"mega_events_per_sec\": " << static_cast<std::uint64_t>(events_per_sec) << ",\n"
         << "  \"mega_wall_seconds\": " << wall << ",\n"
         << "  \"mega_interned_paths\": " << r.interned_paths << ",\n"
-        << "  \"mega_interner_bytes\": " << r.interner_bytes << "\n"
+        << "  \"mega_interner_bytes\": " << r.interner_bytes << ",\n"
+        << "  \"mega_peak_rss_mb\": " << peak_rss_mb << "\n"
         << "}\n";
     if (!out) {
       std::cerr << "mega_scalability: failed to write " << json_path << "\n";

@@ -249,7 +249,8 @@ for key in sorted(cur):
         continue
     b, c = base.get(key), cur.get(key)
     if isinstance(b, (int, float)) and isinstance(c, (int, float)) and b:
-        lower_is_better = key in ("fig07_wall_seconds", "mega_wall_seconds")
+        lower_is_better = key in ("fig07_wall_seconds", "mega_wall_seconds",
+                                   "mega_peak_rss_mb")
         ratio = (b / c) if lower_is_better else (c / b)
         print(f"perfbench:   {key}: {c:,.0f}  ({ratio:.2f}x vs baseline)")
 EOF

@@ -1,23 +1,29 @@
 #include "core/consistency_check.h"
 
-#include <map>
-#include <set>
+#include <algorithm>
+#include <optional>
 
 namespace pacon::core {
 namespace {
 
-sim::Task<> walk_dfs(dfs::DfsClient& probe, fs::Path dir,
-                     std::map<std::string, fs::InodeAttr>& out) {
-  auto entries = co_await probe.readdir(dir);
-  if (!entries) co_return;
-  for (const auto& entry : *entries) {
-    const fs::Path child = dir.child(entry.name);
-    auto attr = co_await probe.getattr(child);
-    if (!attr) continue;  // raced with a concurrent remove
-    out.emplace(child.str(), *attr);
-    if (entry.type == fs::FileType::directory) co_await walk_dfs(probe, child, out);
-  }
-}
+/// One cached entry of the workspace; the DFS walk fills in the `dfs_*`
+/// fields when the same path exists there.
+struct AuditEntry {
+  std::string path;
+  bool removed = false;
+  bool is_dir = false;
+  std::uint64_t size = 0;
+  bool on_dfs = false;
+  bool dfs_is_dir = false;
+  std::uint64_t dfs_size = 0;
+};
+
+/// A directory whose listing the walk is part-way through.
+struct WalkFrame {
+  fs::Path dir;
+  std::vector<fs::DirEntry> entries;
+  std::size_t next = 0;
+};
 
 }  // namespace
 
@@ -27,43 +33,75 @@ sim::Task<ConsistencyReport> check_consistency(ConsistentRegion& region,
   const fs::Path root = region.root();
   const std::string prefix = root.str() + "/";
 
-  // Primary copy: every cached entry under the workspace, across servers.
-  std::map<std::string, CachedMeta> cached;
+  // Primary copy: every cached entry under the workspace, across servers,
+  // sorted by path. It is taken before the walk, whose DFS round trips let
+  // queued commits land in the meantime.
+  std::vector<AuditEntry> cached;
   for (const auto node : region.config().nodes) {
     auto& server = region.cache().server_on(node);
-    for (const auto& key : server.keys_with_prefix(prefix)) {
+    for (auto& key : server.keys_with_prefix(prefix)) {
       const auto resp = server.apply(kv::KvRequest{kv::KvRequest::Op::get, key, {}, 0, 0});
       if (resp.status != kv::KvStatus::ok) continue;
-      if (auto meta = decode_meta(resp.value)) cached.emplace(key, *meta);
+      if (auto meta = decode_meta(resp.value)) {
+        cached.push_back(AuditEntry{std::move(key), meta->removed, meta->attr.is_dir(),
+                                    meta->attr.size});
+      }
     }
   }
+  // A key cached on two servers counts once, as seen on the earlier node.
+  std::ranges::stable_sort(cached, {}, &AuditEntry::path);
+  cached.erase(std::ranges::unique(cached, {}, &AuditEntry::path).begin(), cached.end());
 
-  // Backup copy: the DFS subtree.
-  std::map<std::string, fs::InodeAttr> on_dfs;
-  co_await walk_dfs(probe, root, on_dfs);
-
-  for (const auto& [path, meta] : cached) {
-    if (meta.removed) {
-      report.marked_removed.push_back(path);
+  // Backup copy: a pre-order walk of the DFS subtree. Each directory is
+  // listed, then every child is probed, descending into a subdirectory
+  // before moving on to the next sibling.
+  std::vector<WalkFrame> stack;
+  std::optional<fs::Path> to_list = root;
+  for (;;) {
+    if (to_list) {
+      auto entries = co_await probe.readdir(*to_list);
+      if (entries) stack.push_back(WalkFrame{std::move(*to_list), std::move(*entries)});
+      to_list.reset();
+    }
+    if (stack.empty()) break;
+    WalkFrame& top = stack.back();
+    if (top.next == top.entries.size()) {
+      stack.pop_back();
       continue;
     }
-    auto it = on_dfs.find(path);
-    if (it == on_dfs.end()) {
-      if (region.has_pending(path)) {
-        report.in_flight.push_back(path);
+    const fs::DirEntry& entry = top.entries[top.next++];
+    fs::Path child = top.dir.child(entry.name);
+    const bool descend = entry.type == fs::FileType::directory;
+    auto attr = co_await probe.getattr(child);
+    if (!attr) continue;  // raced with a concurrent remove
+    const auto it = std::ranges::lower_bound(cached, child.str(), {}, &AuditEntry::path);
+    if (it != cached.end() && it->path == child.str()) {
+      it->on_dfs = true;
+      it->dfs_is_dir = attr->is_dir();
+      it->dfs_size = attr->size;
+    } else {
+      report.dfs_only.push_back(child.str());
+    }
+    if (descend) to_list = std::move(child);
+  }
+  std::ranges::sort(report.dfs_only);
+
+  for (const auto& e : cached) {
+    if (e.removed) {
+      report.marked_removed.push_back(e.path);
+      continue;
+    }
+    if (!e.on_dfs) {
+      if (region.has_pending(e.path)) {
+        report.in_flight.push_back(e.path);
       } else {
-        report.cache_only.push_back(path);
+        report.cache_only.push_back(e.path);
       }
       continue;
     }
-    const bool type_ok = meta.attr.is_dir() == it->second.is_dir();
-    const bool size_ok = meta.attr.is_dir() || region.has_pending(path) ||
-                         meta.attr.size == it->second.size;
-    if (!type_ok || !size_ok) report.mismatched.push_back(path);
-  }
-  for (const auto& [path, attr] : on_dfs) {
-    (void)attr;
-    if (!cached.contains(path)) report.dfs_only.push_back(path);
+    const bool type_ok = e.is_dir == e.dfs_is_dir;
+    const bool size_ok = e.is_dir || region.has_pending(e.path) || e.size == e.dfs_size;
+    if (!type_ok || !size_ok) report.mismatched.push_back(e.path);
   }
   co_return report;
 }

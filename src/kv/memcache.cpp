@@ -22,9 +22,6 @@ MemCacheServer::MemCacheServer(sim::Simulation& sim, net::Fabric& fabric, net::N
         co_return apply(req);
       },
       rpc_cfg);
-  // Pre-size the item table: growth rehashes of a multi-million-entry
-  // string-keyed map dominate store cost in metadata-heavy runs.
-  items_.reserve(1u << 16);
 }
 
 KvResponse MemCacheServer::apply(const KvRequest& req) {
@@ -37,7 +34,7 @@ KvResponse MemCacheServer::apply(const KvRequest& req) {
         return KvResponse{KvStatus::not_found, {}, 0, 0};
       }
       hits_.add();
-      touch_lru(it->first, it->second);
+      touch_lru(it->second);
       return KvResponse{KvStatus::ok, it->second.value, it->second.cas, it->second.flags};
     }
     case Op::set:
@@ -51,7 +48,7 @@ KvResponse MemCacheServer::apply(const KvRequest& req) {
     case Op::del: {
       auto it = find_item(req);
       if (it == items_.end()) return KvResponse{KvStatus::not_found, {}, 0, 0};
-      erase_item(it->first);
+      erase_item(it);
       return KvResponse{KvStatus::ok, {}, 0, 0};
     }
   }
@@ -75,40 +72,37 @@ KvResponse MemCacheServer::store(const KvRequest& req, bool must_exist, bool mus
   }
   // Updates are erase + fresh insert: the old footprint is released first so
   // LRU eviction can never pick the key being written as its own victim.
-  if (it != items_.end()) erase_item(req.key);
+  if (it != items_.end()) erase_item(it);
   if (bytes_used_ + new_size > config_.capacity_bytes && !make_room(new_size)) {
     return KvResponse{KvStatus::no_space, {}, 0, 0};
   }
 
-  lru_.push_front(req.key);
-  Item item{req.value, next_cas_++, req.flags, lru_.begin()};
   bytes_used_ += new_size;
-  it = items_.emplace(req.key, std::move(item)).first;
+  it = items_.emplace(req.key, Item{req.value, next_cas_++, req.flags, {}}).first;
+  if (config_.lru_eviction) {
+    lru_.push_front(&it->first);
+    it->second.lru_pos = lru_.begin();
+  }
   stores_.add();
   return KvResponse{KvStatus::ok, {}, it->second.cas, it->second.flags};
 }
 
-void MemCacheServer::touch_lru(const std::string& key, Item& item) {
-  lru_.erase(item.lru_pos);
-  lru_.push_front(key);
-  item.lru_pos = lru_.begin();
+void MemCacheServer::touch_lru(Item& item) {
+  if (config_.lru_eviction) lru_.splice(lru_.begin(), lru_, item.lru_pos);
 }
 
 bool MemCacheServer::make_room(std::uint64_t need) {
   if (!config_.lru_eviction) return false;
   while (bytes_used_ + need > config_.capacity_bytes && !lru_.empty()) {
-    const std::string victim = lru_.back();
-    erase_item(victim);
+    erase_item(items_.find(*lru_.back()));
     ++evictions_;
   }
   return bytes_used_ + need <= config_.capacity_bytes;
 }
 
-void MemCacheServer::erase_item(const std::string& key) {
-  auto it = items_.find(key);
-  assert(it != items_.end());
-  bytes_used_ -= item_footprint(key, it->second.value);
-  lru_.erase(it->second.lru_pos);
+void MemCacheServer::erase_item(ItemMap::iterator it) {
+  bytes_used_ -= item_footprint(it->first, it->second.value);
+  if (config_.lru_eviction) lru_.erase(it->second.lru_pos);
   items_.erase(it);
 }
 

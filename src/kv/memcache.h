@@ -146,7 +146,8 @@ class MemCacheServer {
     std::string value;
     std::uint64_t cas = 0;
     std::uint32_t flags = 0;
-    std::list<std::string>::iterator lru_pos;
+    /// Position in lru_; meaningful only when config_.lru_eviction is on.
+    std::list<const std::string*>::iterator lru_pos;
   };
 
   using ItemMap = std::unordered_map<std::string, Item, KvKeyHash, KvKeyEq>;
@@ -159,17 +160,23 @@ class MemCacheServer {
     if (req.key_hash != 0) return items_.find(PrehashedKey{req.key, req.key_hash});
     return items_.find(req.key);
   }
-  void touch_lru(const std::string& key, Item& item);
+  void touch_lru(Item& item);
   bool make_room(std::uint64_t need);
-  void erase_item(const std::string& key);
+  void erase_item(ItemMap::iterator it);
   KvResponse store(const KvRequest& req, bool must_exist, bool must_not_exist,
                    bool check_cas);
 
   sim::Simulation& sim_;
   net::NodeId node_;
   KvConfig config_;
+  // Grows with its contents: the servers run on the application's compute
+  // nodes, so an idle server should not hold a pre-sized bucket array.
   ItemMap items_;
-  std::list<std::string> lru_;  // front = most recent
+  // Recency order, front = most recent; kept only when lru_eviction is on.
+  // Entries point at the keys inside items_'s nodes, which stay put across
+  // rehashes, so the list costs no key copy and a get moves its entry with a
+  // splice rather than an allocation.
+  std::list<const std::string*> lru_;
   std::uint64_t bytes_used_ = 0;
   std::uint64_t next_cas_ = 1;
   std::uint64_t evictions_ = 0;

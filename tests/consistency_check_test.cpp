@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "core/consistency_check.h"
+#include "core/meta_entry.h"
 #include "core/pacon.h"
 #include "sim/combinators.h"
 #include "sim/simulation.h"
@@ -44,6 +47,22 @@ struct World {
   dfs::DfsClient probe;
 };
 
+// Rewrites `path`'s cached entry on whichever server holds it.
+template <typename Edit>
+void edit_cached(ConsistentRegion& region, const std::string& path, Edit edit) {
+  for (const auto node : region.config().nodes) {
+    auto& server = region.cache().server_on(node);
+    const auto got = server.apply(kv::KvRequest{kv::KvRequest::Op::get, path, {}, 0, 0});
+    if (got.status != kv::KvStatus::ok) continue;
+    auto meta = decode_meta(got.value);
+    ASSERT_TRUE(meta.has_value()) << path;
+    edit(*meta);
+    server.apply(kv::KvRequest{kv::KvRequest::Op::set, path, encode_meta(*meta), 0, got.flags});
+    return;
+  }
+  FAIL() << path << " is not cached";
+}
+
 TEST(ConsistencyCheck, ConvergedAfterDrain) {
   World w;
   auto p = w.make(0);
@@ -78,6 +97,35 @@ TEST(ConsistencyCheck, InFlightEntriesAreClassifiedBenign) {
     auto after = co_await check_consistency(pc.region(), world.probe);
     EXPECT_TRUE(after.converged()) << after.summary();
     EXPECT_TRUE(after.in_flight.empty());
+  }(w, *p));
+}
+
+TEST(ConsistencyCheck, FlagsTypeAndSizeMismatches) {
+  World w;
+  auto p = w.make(0);
+  sim::run_task(w.sim, [](World& world, Pacon& pc) -> Task<> {
+    (void)co_await pc.mkdir(Path::parse("/app/d"), fs::FileMode::dir_default());
+    (void)co_await pc.mkdir(Path::parse("/app/d/sub"), fs::FileMode::dir_default());
+    for (int i = 0; i < 4; ++i) {
+      const Path f = Path::parse("/app/d").child("f" + std::to_string(i));
+      (void)co_await pc.create(f, fs::FileMode::file_default());
+      (void)co_await pc.write(f, 0, 100);
+    }
+    co_await pc.drain();
+    ConsistentRegion& region = pc.region();
+    edit_cached(region, "/app/d/f2", [](CachedMeta& m) { m.attr.size += 1; });
+    edit_cached(region, "/app/d/sub", [](CachedMeta& m) { m.attr.type = fs::FileType::file; });
+    // A cache-only entry: cached, never queued for commit, absent on the DFS.
+    auto& server = region.cache().server_on(region.config().nodes[0]);
+    CachedMeta ghost;
+    server.apply(kv::KvRequest{kv::KvRequest::Op::set, "/app/ghost", encode_meta(ghost), 0, 0});
+
+    auto report = co_await check_consistency(region, world.probe);
+    EXPECT_FALSE(report.converged()) << report.summary();
+    EXPECT_EQ(report.mismatched, (std::vector<std::string>{"/app/d/f2", "/app/d/sub"}));
+    EXPECT_EQ(report.cache_only, std::vector<std::string>{"/app/ghost"});
+    EXPECT_TRUE(report.in_flight.empty()) << report.summary();
+    EXPECT_TRUE(report.marked_removed.empty()) << report.summary();
   }(w, *p));
 }
 

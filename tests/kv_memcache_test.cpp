@@ -137,6 +137,86 @@ TEST(MemCacheServer, LruEvictionDropsColdestFirst) {
   EXPECT_EQ(server.apply(make(KvRequest::Op::get, "k4")).status, KvStatus::ok);
 }
 
+TEST(MemCacheServer, UpdatingSetRefreshesRecency) {
+  Fixture f;
+  KvConfig cfg;
+  cfg.item_overhead_bytes = 0;
+  cfg.capacity_bytes = 30;
+  MemCacheServer server(f.sim, f.fabric, NodeId{0}, cfg);
+  server.apply(make(KvRequest::Op::set, "k1", "12345678"));
+  server.apply(make(KvRequest::Op::set, "k2", "12345678"));
+  server.apply(make(KvRequest::Op::set, "k3", "12345678"));
+  // Rewriting k1 makes it the most recent, so k2 is the next victim.
+  server.apply(make(KvRequest::Op::set, "k1", "87654321"));
+  server.apply(make(KvRequest::Op::set, "k4", "12345678"));
+  EXPECT_EQ(server.evictions(), 1u);
+  EXPECT_EQ(server.apply(make(KvRequest::Op::get, "k2")).status, KvStatus::not_found);
+  EXPECT_EQ(server.apply(make(KvRequest::Op::get, "k1")).value, "87654321");
+  EXPECT_EQ(server.apply(make(KvRequest::Op::get, "k3")).status, KvStatus::ok);
+}
+
+TEST(MemCacheServer, ReinsertAfterDeleteIsMostRecent) {
+  Fixture f;
+  KvConfig cfg;
+  cfg.item_overhead_bytes = 0;
+  cfg.capacity_bytes = 30;
+  MemCacheServer server(f.sim, f.fabric, NodeId{0}, cfg);
+  server.apply(make(KvRequest::Op::set, "k1", "12345678"));
+  server.apply(make(KvRequest::Op::set, "k2", "12345678"));
+  server.apply(make(KvRequest::Op::set, "k3", "12345678"));
+  ASSERT_EQ(server.apply(make(KvRequest::Op::del, "k1")).status, KvStatus::ok);
+  server.apply(make(KvRequest::Op::add, "k1", "12345678"));
+  server.apply(make(KvRequest::Op::set, "k4", "12345678"));
+  EXPECT_EQ(server.evictions(), 1u);
+  EXPECT_EQ(server.apply(make(KvRequest::Op::get, "k2")).status, KvStatus::not_found);
+  EXPECT_EQ(server.apply(make(KvRequest::Op::get, "k1")).status, KvStatus::ok);
+  EXPECT_EQ(server.apply(make(KvRequest::Op::get, "k3")).status, KvStatus::ok);
+}
+
+TEST(MemCacheServer, TableGrowsPastInitialSizeWithLookupsAndLruIntact) {
+  Fixture f;
+  constexpr std::size_t kItems = (1u << 16) + 1000;
+  constexpr std::size_t kItemBytes = 8;  // "k" + 6 digits + 1-byte value
+  KvConfig cfg;
+  cfg.item_overhead_bytes = 0;
+  cfg.capacity_bytes = kItems * kItemBytes;  // exactly full after the fill
+  MemCacheServer server(f.sim, f.fabric, NodeId{0}, cfg);
+  const auto key = [](std::size_t i) {
+    std::string k = std::to_string(i);
+    return "k" + std::string(6 - k.size(), '0') + k;
+  };
+  // Both lookup kinds must hit every key after each doubling of the table,
+  // i.e. across every rehash the growth triggers.
+  const auto all_hit = [&](std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::string k = key(i);
+      KvRequest prehashed = make(KvRequest::Op::get, k);
+      prehashed.key_hash = sim::Rng::hash(k);
+      if (server.apply(prehashed).status != KvStatus::ok) return false;
+      if (server.apply(make(KvRequest::Op::get, k)).status != KvStatus::ok) return false;
+    }
+    return true;
+  };
+  for (std::size_t i = 0; i < kItems; ++i) {
+    ASSERT_EQ(server.apply(make(KvRequest::Op::set, key(i), "v")).status, KvStatus::ok);
+    if (((i + 1) & i) == 0) {
+      ASSERT_TRUE(all_hit(i + 1)) << "after " << i + 1 << " items";
+    }
+  }
+  ASSERT_EQ(server.item_count(), kItems);
+  ASSERT_TRUE(all_hit(kItems));
+  EXPECT_EQ(server.evictions(), 0u);
+
+  // The lookups above left the keys in ascending recency. Touch k0, so the
+  // next store must evict k1: the LRU's key pointers survived every rehash.
+  server.apply(make(KvRequest::Op::get, key(0)));
+  ASSERT_EQ(server.apply(make(KvRequest::Op::set, "x000000", "v")).status, KvStatus::ok);
+  EXPECT_EQ(server.evictions(), 1u);
+  EXPECT_EQ(server.apply(make(KvRequest::Op::get, key(1))).status, KvStatus::not_found);
+  EXPECT_EQ(server.apply(make(KvRequest::Op::get, key(0))).status, KvStatus::ok);
+  EXPECT_EQ(server.apply(make(KvRequest::Op::get, key(2))).status, KvStatus::ok);
+}
+
 TEST(MemCacheServer, NoSpaceWhenEvictionDisabled) {
   Fixture f;
   KvConfig cfg;
