@@ -138,8 +138,10 @@ class Pacon {
   std::vector<ConsistentRegion*> merged_;
   std::unique_ptr<dfs::DfsClient> dfs_fallback_;
   // Keyed by the Path-cached parent hash: hints are probed per create, and
-  // the hash key skips the per-op string copy/compare (see lru_cache.h).
-  fs::HashLruTtlCache<char> parent_hints_;
+  // the hash key skips the per-op string copy/compare. A hash collision
+  // (~2^-64 per resident pair) yields a wrong hint, which callers already
+  // tolerate as a stale one.
+  fs::LruTtlCache<std::uint64_t, char> parent_hints_;
   std::uint64_t hints_valid_at_ = 0;  // region invalidation counter snapshot
 };
 

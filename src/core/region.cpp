@@ -602,7 +602,7 @@ sim::Task<FsResult<std::uint64_t>> ConsistentRegion::write(net::NodeId from,
         if (spill > 0) {
           auto spilled = co_await io.write(path, 0, spill, parent);
           if (!spilled && spilled.error() == FsError::not_found) {
-            co_await sim_.delay(config_.commit_retry_delay);
+            co_await sim_.delay(config_.commit_retry.base_delay);
             continue;
           }
           if (!spilled && spilled.error() == FsError::io) co_return fs::fail(FsError::io);
@@ -610,7 +610,7 @@ sim::Task<FsResult<std::uint64_t>> ConsistentRegion::write(net::NodeId from,
         auto wrote = co_await io.write(path, offset, length, parent);
         if (wrote) break;
         if (wrote.error() != FsError::not_found) co_return fs::fail(wrote.error());
-        co_await sim_.delay(config_.commit_retry_delay);  // create not committed yet
+        co_await sim_.delay(config_.commit_retry.base_delay);  // create not committed yet
       }
       // Reflect the new size for cached readers (best effort, CAS-raced).
       co_return length;
@@ -740,7 +740,7 @@ sim::Task<> ConsistentRegion::committer_loop(NodeState& node) {
       // A barrier may only be reported once every operation of its epoch --
       // including ones parked for resubmission -- reached the DFS.
       while (node.retrying > 0 && node.alive) {
-        co_await sim_.delay(config_.commit_retry_delay);
+        co_await sim_.delay(config_.commit_retry.base_delay);
         if (node.commit_generation != generation) co_return;
       }
       epochs_.node_reached_barrier(msg->epoch);

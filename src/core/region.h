@@ -82,12 +82,12 @@ struct RegionConfig {
   /// How often the evictor checks pressure.
   sim::SimDuration eviction_period = 50_ms;
   EvictionPolicy eviction_policy = EvictionPolicy::round_robin;
-  /// Backoff between commit resubmissions (independent commit retries).
-  sim::SimDuration commit_retry_delay = 200_us;
   /// Backoff schedule for the commit retry worker: exponential with
   /// deterministic jitter from the region's forked rng stream; max_attempts
   /// is ignored (independent commit resubmits until the DFS accepts,
-  /// Section III.E.1). base_delay defaults to commit_retry_delay's value.
+  /// Section III.E.1). base_delay also paces the fixed-interval waits: a
+  /// data write waiting for its file's create to reach the DFS, and a
+  /// barrier waiting for parked resubmissions.
   net::RetryPolicy commit_retry{.max_attempts = 0,
                                 .base_delay = 200_us,
                                 .multiplier = 2.0,

@@ -12,7 +12,11 @@ using fs::FsResult;
 
 DfsClient::DfsClient(sim::Simulation& sim, DfsCluster& cluster, net::NodeId node,
                      DfsClientConfig config)
-    : sim_(sim), cluster_(cluster), node_(node), config_(config) {}
+    : sim_(sim),
+      cluster_(cluster),
+      node_(node),
+      config_(config),
+      dentries_(config.dentry_cache_capacity, config.dentry_ttl) {}
 
 sim::Task<MetaResponse> DfsClient::meta_call(MetaRequest req, obs::SpanId span) {
   ++meta_rpcs_;
@@ -28,48 +32,6 @@ sim::Task<DataResponse> DfsClient::data_call(DataRequest req, obs::SpanId span) 
   auto resp = co_await server.call(node_, std::move(req), span);
   if (!resp) co_return DataResponse{.status = FsError::io};
   co_return std::move(*resp);
-}
-
-const fs::InodeAttr* DfsClient::cache_find(const std::string& path) {
-  auto it = dentries_.find(path);
-  if (it == dentries_.end()) return nullptr;
-  if (it->second.expires_at < sim_.now()) {
-    dentry_lru_.erase(it->second.lru_pos);
-    dentries_.erase(it);
-    return nullptr;
-  }
-  dentry_lru_.splice(dentry_lru_.begin(), dentry_lru_, it->second.lru_pos);
-  ++dentry_hits_;
-  return &it->second.attr;
-}
-
-void DfsClient::cache_insert(const std::string& path, const fs::InodeAttr& attr) {
-  if (config_.dentry_cache_capacity == 0) return;
-  if (auto it = dentries_.find(path); it != dentries_.end()) {
-    it->second.attr = attr;
-    it->second.expires_at = sim_.now() + config_.dentry_ttl;
-    dentry_lru_.splice(dentry_lru_.begin(), dentry_lru_, it->second.lru_pos);
-    return;
-  }
-  dentry_lru_.push_front(path);
-  dentries_.emplace(path, CachedEntry{attr, sim_.now() + config_.dentry_ttl,
-                                      dentry_lru_.begin()});
-  while (dentries_.size() > config_.dentry_cache_capacity) {
-    dentries_.erase(dentry_lru_.back());
-    dentry_lru_.pop_back();
-  }
-}
-
-void DfsClient::cache_erase(const std::string& path) {
-  auto it = dentries_.find(path);
-  if (it == dentries_.end()) return;
-  dentry_lru_.erase(it->second.lru_pos);
-  dentries_.erase(it);
-}
-
-void DfsClient::invalidate_cache() {
-  dentries_.clear();
-  dentry_lru_.clear();
 }
 
 sim::Task<FsResult<fs::InodeAttr>> DfsClient::resolve(const fs::Path& path, bool fresh_leaf,
@@ -89,7 +51,7 @@ sim::Task<FsResult<fs::InodeAttr>> DfsClient::resolve(const fs::Path& path, bool
     fs::Path probe = fresh_leaf ? path.parent() : path;
     std::size_t remaining = fresh_leaf ? comps.size() - 1 : comps.size();
     while (!probe.is_root()) {
-      if (const fs::InodeAttr* hit = cache_find(probe.str())) {
+      if (const fs::InodeAttr* hit = dentries_.find(probe, sim_.now())) {
         current = *hit;
         start = remaining;
         break;
@@ -112,7 +74,7 @@ sim::Task<FsResult<fs::InodeAttr>> DfsClient::resolve(const fs::Path& path, bool
     if (resp.status != FsError::ok) co_return fs::fail(resp.status);
     current = resp.attr;
     walked = walked.child(comps[i]);
-    cache_insert(walked.str(), current);
+    dentries_.insert(walked, current, sim_.now());
   }
   co_return current;
 }
@@ -140,7 +102,7 @@ sim::Task<FsResult<fs::InodeAttr>> DfsClient::mkdir(const fs::Path& path, fs::Fi
   req.creds = config_.creds;
   const MetaResponse resp = co_await meta_call(std::move(req), op.id());
   if (resp.status != FsError::ok) co_return fs::fail(resp.status);
-  cache_insert(path.str(), resp.attr);
+  dentries_.insert(path, resp.attr, sim_.now());
   op.finish("ok");
   co_return resp.attr;
 }
@@ -160,7 +122,7 @@ sim::Task<FsResult<fs::InodeAttr>> DfsClient::create(const fs::Path& path, fs::F
   req.creds = config_.creds;
   const MetaResponse resp = co_await meta_call(std::move(req), op.id());
   if (resp.status != FsError::ok) co_return fs::fail(resp.status);
-  cache_insert(path.str(), resp.attr);
+  dentries_.insert(path, resp.attr, sim_.now());
   op.finish("ok");
   co_return resp.attr;
 }
@@ -183,7 +145,7 @@ sim::Task<FsResult<void>> DfsClient::unlink(const fs::Path& path, obs::SpanId sp
   req.creds = config_.creds;
   const MetaResponse resp = co_await meta_call(std::move(req), op.id());
   if (resp.status != FsError::ok) co_return fs::fail(resp.status);
-  cache_erase(path.str());
+  dentries_.erase(path);
   op.finish("ok");
   co_return FsResult<void>{};
 }
@@ -200,7 +162,7 @@ sim::Task<FsResult<void>> DfsClient::rmdir(const fs::Path& path, obs::SpanId spa
   req.creds = config_.creds;
   const MetaResponse resp = co_await meta_call(std::move(req), op.id());
   if (resp.status != FsError::ok) co_return fs::fail(resp.status);
-  cache_erase(path.str());
+  dentries_.erase(path);
   op.finish("ok");
   co_return FsResult<void>{};
 }
@@ -258,7 +220,7 @@ sim::Task<FsResult<std::uint64_t>> DfsClient::write(const fs::Path& path, std::u
   size_req.creds = config_.creds;
   const MetaResponse size_resp = co_await meta_call(std::move(size_req), op.id());
   if (size_resp.status != FsError::ok) co_return fs::fail(size_resp.status);
-  cache_insert(path.str(), size_resp.attr);
+  dentries_.insert(path, size_resp.attr, sim_.now());
   op.finish("ok");
   co_return written;
 }

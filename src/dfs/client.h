@@ -8,14 +8,13 @@
 #pragma once
 
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "dfs/cluster.h"
 #include "fs/error.h"
+#include "fs/lru_cache.h"
 #include "fs/path.h"
 #include "fs/types.h"
 #include "net/fabric.h"
@@ -69,20 +68,14 @@ class DfsClient {
   sim::Task<fs::FsResult<void>> fsync(const fs::Path& path, obs::SpanId span = obs::kNoSpan);
 
   /// Drops every cached dentry (tests and failure handling).
-  void invalidate_cache();
+  void invalidate_cache() { dentries_.clear(); }
 
   std::uint64_t lookup_rpcs() const { return lookup_rpcs_; }
   std::uint64_t meta_rpcs() const { return meta_rpcs_; }
   std::uint64_t data_rpcs() const { return data_rpcs_; }
-  std::uint64_t dentry_hits() const { return dentry_hits_; }
+  std::uint64_t dentry_hits() const { return dentries_.hits(); }
 
  private:
-  struct CachedEntry {
-    fs::InodeAttr attr;
-    sim::SimTime expires_at = 0;
-    std::list<std::string>::iterator lru_pos;
-  };
-
   /// Resolves `path` to its attributes via cached prefixes + lookup RPCs.
   /// `fresh_leaf` forces the final component over the wire even when cached:
   /// stat must return current attributes, so only intermediate directories
@@ -99,21 +92,15 @@ class DfsClient {
   sim::Task<MetaResponse> meta_call(MetaRequest req, obs::SpanId span = obs::kNoSpan);
   sim::Task<DataResponse> data_call(DataRequest req, obs::SpanId span);
 
-  const fs::InodeAttr* cache_find(const std::string& path);
-  void cache_insert(const std::string& path, const fs::InodeAttr& attr);
-  void cache_erase(const std::string& path);
-
   sim::Simulation& sim_;
   DfsCluster& cluster_;
   net::NodeId node_;
   DfsClientConfig config_;
 
-  std::unordered_map<std::string, CachedEntry> dentries_;
-  std::list<std::string> dentry_lru_;
+  fs::PathCache<fs::InodeAttr> dentries_;
   std::uint64_t lookup_rpcs_ = 0;
   std::uint64_t meta_rpcs_ = 0;
   std::uint64_t data_rpcs_ = 0;
-  std::uint64_t dentry_hits_ = 0;
 };
 
 }  // namespace pacon::dfs

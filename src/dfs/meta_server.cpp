@@ -8,7 +8,7 @@ using fs::FsError;
 
 MetaServer::MetaServer(sim::Simulation& sim, net::Fabric& fabric, net::NodeId node,
                        sim::SimDisk& disk, MetaServerConfig config)
-    : sim_(sim), node_(node), disk_(disk), config_(config) {
+    : sim_(sim), node_(node), disk_(disk), config_(config), cache_(config.cache_capacity) {
   // Shard-unique inode numbers: high bits carry the node id.
   next_ino_ = (static_cast<fs::Ino>(node.value + 1) << 40) + 1;
   net::RpcService<MetaRequest, MetaResponse>::Config rpc_cfg;
@@ -59,23 +59,9 @@ sim::Task<MetaResponse> MetaServer::handle(MetaRequest req) {
 }
 
 sim::Task<> MetaServer::charge_cache(fs::Ino ino) {
-  if (ino == fs::kInvalidIno) co_return;
-  if (auto it = cache_index_.find(ino); it != cache_index_.end()) {
-    cache_lru_.splice(cache_lru_.begin(), cache_lru_, it->second);
-    co_return;
-  }
-  ++cache_misses_;
+  if (ino == fs::kInvalidIno || cache_.find(ino, sim_.now())) co_return;
   co_await disk_.read(4096);
-  touch_cache(ino);
-}
-
-void MetaServer::touch_cache(fs::Ino ino) {
-  cache_lru_.push_front(ino);
-  cache_index_[ino] = cache_lru_.begin();
-  while (cache_index_.size() > config_.cache_capacity) {
-    cache_index_.erase(cache_lru_.back());
-    cache_lru_.pop_back();
-  }
+  cache_.insert(ino, {}, sim_.now());
 }
 
 MetaResponse MetaServer::apply(const MetaRequest& req) {

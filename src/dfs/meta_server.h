@@ -9,13 +9,14 @@
 #pragma once
 
 #include <cstdint>
-#include <list>
 #include <map>
 #include <memory>
 #include <unordered_map>
 #include <unordered_set>
+#include <variant>
 
 #include "dfs/protocol.h"
+#include "fs/lru_cache.h"
 #include "net/fabric.h"
 #include "net/rpc.h"
 #include "sim/disk.h"
@@ -67,7 +68,7 @@ class MetaServer {
 
   // Introspection.
   std::size_t inode_count() const { return inodes_.size(); }
-  std::uint64_t cache_misses() const { return cache_misses_; }
+  std::uint64_t cache_misses() const { return cache_.misses(); }
   std::uint64_t ops_served() const { return ops_served_; }
 
   /// Applies an operation without RPC or cost charging (test seeding).
@@ -81,7 +82,6 @@ class MetaServer {
 
   sim::Task<MetaResponse> handle(MetaRequest req);
   sim::Task<> charge_cache(fs::Ino ino);
-  void touch_cache(fs::Ino ino);
 
   MetaResponse do_lookup(const MetaRequest& req);
   MetaResponse do_getattr(const MetaRequest& req);
@@ -102,9 +102,7 @@ class MetaServer {
   std::uint64_t ops_served_ = 0;
 
   // Server-side metadata cache model: LRU set of hot inode numbers.
-  std::list<fs::Ino> cache_lru_;
-  std::unordered_map<fs::Ino, std::list<fs::Ino>::iterator> cache_index_;
-  std::uint64_t cache_misses_ = 0;
+  fs::LruTtlCache<fs::Ino, std::monostate> cache_;
 
   std::unique_ptr<net::RpcService<MetaRequest, MetaResponse>> rpc_;
 };

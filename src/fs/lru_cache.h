@@ -1,11 +1,21 @@
-// TTL'd LRU cache keyed by string (path) -- the shape shared by the DFS
-// dentry cache and the IndexFS lease cache.
+// The bounded recency cache behind every simulated cache: the DFS client's
+// dentry cache, the IndexFS lease cache, Pacon's parent hints, the MDS inode
+// cache and the LSM block cache.
+//
+// An entry expires `ttl` after its last insert (never, by default), and the
+// least recently used entry is evicted once the cache holds more than
+// `capacity`. find/insert/erase take transparent probes: a PathCache is
+// probed with a Path or SpellingKey, whose hash is already computed, so a
+// probe neither re-hashes the spelling nor builds a std::string. An empty
+// value type (std::monostate) turns the cache into a residency set.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <functional>
+#include <limits>
 #include <list>
 #include <string>
-#include <string_view>
 #include <unordered_map>
 
 #include "fs/path.h"
@@ -13,26 +23,32 @@
 
 namespace pacon::fs {
 
-template <typename V>
+/// Hasher for integer keys that are already well spread (path hashes, mixed
+/// block ids, inode numbers): hashing them again would only burn cycles.
+struct IdentityHash {
+  std::size_t operator()(std::uint64_t key) const noexcept {
+    return static_cast<std::size_t>(key);
+  }
+};
+
+template <typename Key, typename V, typename Hash = IdentityHash, typename Eq = std::equal_to<>>
 class LruTtlCache {
  public:
-  LruTtlCache(std::size_t capacity, sim::SimDuration ttl) : capacity_(capacity), ttl_(ttl) {
-    // Bounded by capacity, so one up-front reserve removes every growth
-    // rehash (a visible cost in figure-scale runs).
-    if (capacity_ > 0 && capacity_ <= (std::size_t{1} << 20)) map_.reserve(capacity_ + 1);
-  }
+  static constexpr sim::SimDuration kNeverExpires = std::numeric_limits<sim::SimDuration>::max();
+
+  explicit LruTtlCache(std::size_t capacity, sim::SimDuration ttl = kNeverExpires)
+      : capacity_(capacity), ttl_(ttl) {}
 
   /// Value for `key` if present and fresh at time `now`; nullptr otherwise.
-  const V* find(const std::string& key, sim::SimTime now) {
-    return find(SpellingKey{key, sim::Rng::hash(key)}, now);
-  }
-  const V* find(const Path& path, sim::SimTime now) { return find(SpellingKey{path}, now); }
-  const V* find(const SpellingKey& key, sim::SimTime now) {
-    auto it = map_.find(key);
-    if (it == map_.end()) return nullptr;
-    if (it->second.expires_at < now) {
-      lru_.erase(it->second.lru_pos);
-      map_.erase(it);
+  template <typename Probe>
+  const V* find(const Probe& key, sim::SimTime now) {
+    auto it = map_.find(probe(key));
+    if (it != map_.end() && it->second.expires_at < now) {
+      drop(it);
+      it = map_.end();
+    }
+    if (it == map_.end()) {
+      ++misses_;
       return nullptr;
     }
     lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
@@ -40,130 +56,76 @@ class LruTtlCache {
     return &it->second.value;
   }
 
-  void insert(const std::string& key, V value, sim::SimTime now) {
-    insert(SpellingKey{key, sim::Rng::hash(key)}, std::move(value), now);
-  }
-  void insert(const Path& path, V value, sim::SimTime now) {
-    insert(SpellingKey{path}, std::move(value), now);
-  }
-  void insert(const SpellingKey& key, V value, sim::SimTime now) {
+  /// Stores `value` as the most recent entry. A present key is refreshed in
+  /// place, so two callers that missed the same key leave one entry.
+  template <typename Probe>
+  void insert(const Probe& key, V value, sim::SimTime now) {
     if (capacity_ == 0) return;
-    if (auto it = map_.find(key); it != map_.end()) {
+    const sim::SimTime expires_at = now > kNeverExpires - ttl_ ? kNeverExpires : now + ttl_;
+    const auto& p = probe(key);
+    if (auto it = map_.find(p); it != map_.end()) {
       it->second.value = std::move(value);
-      it->second.expires_at = now + ttl_;
+      it->second.expires_at = expires_at;
       lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
       return;
     }
-    lru_.emplace_front(key.spelling);
-    map_.emplace(lru_.front(), Entry{std::move(value), now + ttl_, lru_.begin()});
-    while (map_.size() > capacity_) {
-      map_.erase(lru_.back());
-      lru_.pop_back();
-    }
+    auto it = map_.try_emplace(stored_key(p), Entry{std::move(value), expires_at, {}}).first;
+    lru_.push_front(&it->first);
+    it->second.lru_pos = lru_.begin();
+    if (map_.size() > capacity_) drop(map_.find(*lru_.back()));
   }
 
-  void erase(const std::string& key) { erase(SpellingKey{key, sim::Rng::hash(key)}); }
-  void erase(const Path& path) { erase(SpellingKey{path}); }
-  void erase(const SpellingKey& key) {
-    auto it = map_.find(key);
-    if (it == map_.end()) return;
+  template <typename Probe>
+  void erase(const Probe& key) {
+    if (auto it = map_.find(probe(key)); it != map_.end()) drop(it);
+  }
+
+  void clear() {
+    map_.clear();
+    lru_.clear();
+  }
+
+  std::size_t size() const { return map_.size(); }
+  std::uint64_t hits() const { return hits_; }
+  std::uint64_t misses() const { return misses_; }
+
+ private:
+  struct Entry {
+    [[no_unique_address]] V value;
+    sim::SimTime expires_at;
+    typename std::list<const Key*>::iterator lru_pos;
+  };
+  using Map = std::unordered_map<Key, Entry, Hash, Eq>;
+
+  // A Path probes as its SpellingKey; every other probe goes to the map as is.
+  static SpellingKey probe(const Path& path) { return SpellingKey{path}; }
+  template <typename Probe>
+  static const Probe& probe(const Probe& key) {
+    return key;
+  }
+  static Key stored_key(const SpellingKey& key) { return Key(key.spelling); }
+  template <typename Probe>
+  static Key stored_key(const Probe& key) {
+    return Key(key);
+  }
+
+  void drop(typename Map::iterator it) {
     lru_.erase(it->second.lru_pos);
     map_.erase(it);
   }
 
-  void clear() {
-    map_.clear();
-    lru_.clear();
-  }
-
-  std::size_t size() const { return map_.size(); }
-  std::uint64_t hits() const { return hits_; }
-
- private:
-  struct Entry {
-    V value;
-    sim::SimTime expires_at;
-    std::list<std::string>::iterator lru_pos;
-  };
-
   std::size_t capacity_;
   sim::SimDuration ttl_;
-  std::unordered_map<std::string, Entry, SpellingHash, SpellingEq> map_;
-  std::list<std::string> lru_;
+  Map map_;
+  // Recency order, front = most recent. It points at the keys inside the
+  // map's nodes, which stay put across rehashes, so each key is stored once.
+  std::list<const Key*> lru_;
   std::uint64_t hits_ = 0;
+  std::uint64_t misses_ = 0;
 };
 
-/// TTL'd LRU cache keyed by a pre-computed 64-bit path hash. The shape of
-/// hint caches probed on every create: callers hold a Path whose hash()/
-/// parent_hash() are already cached, so keying on the hash skips the
-/// string copy per insert and the string compare per probe entirely. A
-/// collision (~2^-64 per resident pair) returns a wrong hint -- callers
-/// must already tolerate stale hints (TTL), so a hint cache is exactly
-/// where that trade is sound. Do not use where an entry's identity must
-/// be exact.
+/// A cache keyed by path spelling.
 template <typename V>
-class HashLruTtlCache {
- public:
-  HashLruTtlCache(std::size_t capacity, sim::SimDuration ttl) : capacity_(capacity), ttl_(ttl) {
-    if (capacity_ > 0 && capacity_ <= (std::size_t{1} << 20)) map_.reserve(capacity_ + 1);
-  }
-
-  /// Value for `key` if present and fresh at time `now`; nullptr otherwise.
-  const V* find(std::uint64_t key, sim::SimTime now) {
-    auto it = map_.find(key);
-    if (it == map_.end()) return nullptr;
-    if (it->second.expires_at < now) {
-      lru_.erase(it->second.lru_pos);
-      map_.erase(it);
-      return nullptr;
-    }
-    lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
-    ++hits_;
-    return &it->second.value;
-  }
-
-  void insert(std::uint64_t key, V value, sim::SimTime now) {
-    if (capacity_ == 0) return;
-    if (auto it = map_.find(key); it != map_.end()) {
-      it->second.value = std::move(value);
-      it->second.expires_at = now + ttl_;
-      lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
-      return;
-    }
-    lru_.push_front(key);
-    map_.emplace(key, Entry{std::move(value), now + ttl_, lru_.begin()});
-    while (map_.size() > capacity_) {
-      map_.erase(lru_.back());
-      lru_.pop_back();
-    }
-  }
-
-  void clear() {
-    map_.clear();
-    lru_.clear();
-  }
-
-  std::size_t size() const { return map_.size(); }
-  std::uint64_t hits() const { return hits_; }
-
- private:
-  struct Entry {
-    V value;
-    sim::SimTime expires_at;
-    std::list<std::uint64_t>::iterator lru_pos;
-  };
-
-  /// Keys are already FNV-mixed path hashes; feeding them through another
-  /// hash would only burn cycles.
-  struct IdentityHash {
-    std::size_t operator()(std::uint64_t h) const { return static_cast<std::size_t>(h); }
-  };
-
-  std::size_t capacity_;
-  sim::SimDuration ttl_;
-  std::unordered_map<std::uint64_t, Entry, IdentityHash> map_;
-  std::list<std::uint64_t> lru_;
-  std::uint64_t hits_ = 0;
-};
+using PathCache = LruTtlCache<std::string, V, SpellingHash, SpellingEq>;
 
 }  // namespace pacon::fs

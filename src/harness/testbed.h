@@ -104,21 +104,4 @@ class TestBed {
   std::unique_ptr<obs::FlightRecorder> recorder_;
 };
 
-/// Runs `clients` coroutine loops for warmup+measure and reports the
-/// operations completed per second of virtual time inside the window.
-struct ThroughputResult {
-  std::uint64_t ops = 0;
-  double seconds = 0;
-  double ops_per_sec() const { return seconds > 0 ? static_cast<double>(ops) / seconds : 0; }
-};
-
-/// A measured op loop: repeatedly invokes `op(i)` (i = running index) until
-/// the shared deadline; increments the shared counter inside the window.
-struct MeasureContext {
-  sim::SimTime window_start = 0;
-  sim::SimTime deadline = 0;
-  std::uint64_t ops_in_window = 0;
-  bool stop = false;
-};
-
 }  // namespace pacon::harness

@@ -57,7 +57,7 @@ class IndexFsClient {
   IndexFsCluster& cluster_;
   net::NodeId node_;
   fs::Credentials creds_;
-  fs::LruTtlCache<fs::InodeAttr> cache_;
+  fs::PathCache<fs::InodeAttr> cache_;
   std::vector<PendingRow> pending_;
   fs::Ino next_bulk_ino_;
   std::uint64_t rpcs_ = 0;

@@ -86,7 +86,11 @@ std::uint64_t SsTable::block_of(std::string_view key, std::uint64_t block_bytes)
 }
 
 LsmStore::LsmStore(sim::Simulation& sim, sim::SimDisk& disk, LsmConfig config)
-    : sim_(sim), disk_(disk), config_(config), idle_(sim) {
+    : sim_(sim),
+      disk_(disk),
+      config_(config),
+      block_cache_(config.block_cache_bytes / std::max<std::uint64_t>(1, config.block_bytes)),
+      idle_(sim) {
   levels_.resize(config_.max_levels);
 }
 
@@ -239,21 +243,9 @@ sim::Task<> LsmStore::compact_level(std::size_t level) {
 
 sim::Task<> LsmStore::charge_block_read(const SsTable& table, std::uint64_t block) {
   const std::uint64_t cache_key = mix64(table.id() * 0x9E3779B97F4A7C15ull + block);
-  if (auto it = cache_index_.find(cache_key); it != cache_index_.end()) {
-    cache_lru_.splice(cache_lru_.begin(), cache_lru_, it->second);
-    ++cache_hits_;
-    co_return;
-  }
-  ++cache_misses_;
+  if (block_cache_.find(cache_key, sim_.now())) co_return;
   co_await disk_.read(config_.block_bytes);
-  cache_lru_.push_front(cache_key);
-  cache_index_[cache_key] = cache_lru_.begin();
-  const std::size_t capacity = static_cast<std::size_t>(
-      config_.block_cache_bytes / std::max<std::uint64_t>(1, config_.block_bytes));
-  while (cache_index_.size() > capacity) {
-    cache_index_.erase(cache_lru_.back());
-    cache_lru_.pop_back();
-  }
+  block_cache_.insert(cache_key, {}, sim_.now());
 }
 
 sim::Task<std::optional<std::optional<std::string>>> LsmStore::probe_table(

@@ -15,16 +15,16 @@
 
 #include <cstdint>
 #include <deque>
-#include <list>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
+#include <variant>
 #include <vector>
 
+#include "fs/lru_cache.h"
 #include "sim/disk.h"
 #include "sim/simulation.h"
 #include "sim/sync.h"
@@ -132,8 +132,8 @@ class LsmStore {
   std::uint64_t level_bytes(std::size_t level) const;
   std::uint64_t memtable_bytes_used() const { return memtable_bytes_; }
   std::uint64_t compactions() const { return compactions_; }
-  std::uint64_t block_cache_hits() const { return cache_hits_; }
-  std::uint64_t block_cache_misses() const { return cache_misses_; }
+  std::uint64_t block_cache_hits() const { return block_cache_.hits(); }
+  std::uint64_t block_cache_misses() const { return block_cache_.misses(); }
 
  private:
   using MemTable = std::map<std::string, std::optional<std::string>>;
@@ -168,10 +168,7 @@ class LsmStore {
   std::uint64_t compactions_ = 0;
 
   // Block cache: LRU over (table_id, block) identities.
-  std::list<std::uint64_t> cache_lru_;
-  std::unordered_map<std::uint64_t, std::list<std::uint64_t>::iterator> cache_index_;
-  std::uint64_t cache_hits_ = 0;
-  std::uint64_t cache_misses_ = 0;
+  fs::LruTtlCache<std::uint64_t, std::monostate> block_cache_;
 
   // Maintenance scheduling.
   bool maintenance_busy_ = false;

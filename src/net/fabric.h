@@ -7,10 +7,10 @@
 // pub/sub layers ask it how long a given hop takes.
 #pragma once
 
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <unordered_set>
 #include <vector>
 
 #include "sim/fault.h"
@@ -66,24 +66,15 @@ class Fabric {
 
   /// Failure injection: a down node can neither send nor receive.
   void set_node_down(NodeId node, bool down) {
-    if (node.value < kDenseLiveness) {
-      if (down && node.value >= down_dense_.size()) down_dense_.resize(node.value + 1, 0);
-      if (node.value < down_dense_.size()) down_dense_[node.value] = down ? 1 : 0;
-      return;
-    }
-    if (down) {
-      down_sparse_.insert(node.value);
-    } else {
-      down_sparse_.erase(node.value);
-    }
+    assert(node.valid());
+    if (down && node.value >= down_.size()) down_.resize(node.value + 1, 0);
+    if (node.value < down_.size()) down_[node.value] = down ? 1 : 0;
   }
   /// Hot path (consulted per message and in client retry loops): node ids
-  /// are dense small integers, so liveness is one bounds check + one byte
-  /// load; only out-of-range sentinel ids (admin clients) fall back to the
-  /// sparse set, and that set is empty in every non-fault run.
+  /// are small integers (the largest is a DFS server's, ~10^5), so liveness
+  /// is one bounds check and one byte load.
   bool node_up(NodeId node) const {
-    if (node.value < down_dense_.size()) return down_dense_[node.value] == 0;
-    return down_sparse_.empty() || !down_sparse_.contains(node.value);
+    return node.value >= down_.size() || down_[node.value] == 0;
   }
   bool reachable(NodeId from, NodeId to) const { return node_up(from) && node_up(to); }
 
@@ -106,15 +97,10 @@ class Fabric {
   }
 
  private:
-  /// Ids below this bound live in the dense liveness vector (grown on the
-  /// first down-mark, <= 1 MB); anything larger is a sentinel id.
-  static constexpr std::uint32_t kDenseLiveness = 1u << 20;
-
   sim::Simulation& sim_;
   FabricConfig config_;
   sim::Rng rng_;
-  std::vector<std::uint8_t> down_dense_;  // NodeId.value -> 1 while down
-  std::unordered_set<std::uint32_t> down_sparse_;
+  std::vector<std::uint8_t> down_;  // NodeId.value -> 1 while down; grown on demand
   sim::LinkFaultMatrix* fault_matrix_ = nullptr;
 };
 

@@ -268,47 +268,4 @@ class WaitGroup {
   debug::AwaitableCanary canary_{"WaitGroup"};
 };
 
-/// Reusable rendezvous barrier for a fixed party count.
-class Barrier {
- public:
-  Barrier(Simulation& sim, std::size_t parties) : sim_(sim), parties_(parties) {
-    assert(parties_ > 0);
-  }
-  Barrier(const Barrier&) = delete;
-  Barrier& operator=(const Barrier&) = delete;
-  ~Barrier() {
-    for (auto h : waiters_) debug::waiter_abandoned("Barrier", h.address());
-  }
-
-  auto arrive_and_wait() {
-    struct Awaiter {
-      Barrier& b;
-      bool await_ready() {
-        if (!b.canary_.check_alive()) return true;
-        if (b.arrived_ + 1 == b.parties_) {
-          // Last arriver releases everybody and passes through.
-          b.arrived_ = 0;
-          for (auto h : b.waiters_) b.sim_.schedule_now(h);
-          b.waiters_.clear();
-          return true;
-        }
-        return false;
-      }
-      void await_suspend(std::coroutine_handle<> h) {
-        ++b.arrived_;
-        b.waiters_.push_back(h);
-      }
-      void await_resume() const {}
-    };
-    return Awaiter{*this};
-  }
-
- private:
-  Simulation& sim_;
-  std::size_t parties_;
-  std::size_t arrived_ = 0;
-  std::deque<std::coroutine_handle<>> waiters_;
-  debug::AwaitableCanary canary_{"Barrier"};
-};
-
 }  // namespace pacon::sim

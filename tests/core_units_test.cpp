@@ -2,6 +2,11 @@
 // coordinator, LRU/TTL cache, and the IndexFS attr codec.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <string>
+#include <variant>
+
 #include "core/epoch.h"
 #include "core/meta_entry.h"
 #include "fs/lru_cache.h"
@@ -132,7 +137,7 @@ TEST(EpochCoordinator, PastEpochsPassImmediately) {
 }
 
 TEST(LruTtlCache, InsertFindErase) {
-  fs::LruTtlCache<int> cache(4, 1000);
+  fs::PathCache<int> cache(4, 1000);
   cache.insert("a", 1, 0);
   ASSERT_NE(cache.find("a", 10), nullptr);
   EXPECT_EQ(*cache.find("a", 10), 1);
@@ -141,14 +146,14 @@ TEST(LruTtlCache, InsertFindErase) {
 }
 
 TEST(LruTtlCache, TtlExpires) {
-  fs::LruTtlCache<int> cache(4, 100);
+  fs::PathCache<int> cache(4, 100);
   cache.insert("a", 1, 0);
   EXPECT_NE(cache.find("a", 100), nullptr);   // at expiry edge: valid
   EXPECT_EQ(cache.find("a", 101), nullptr);   // past expiry
 }
 
 TEST(LruTtlCache, CapacityEvictsLru) {
-  fs::LruTtlCache<int> cache(2, 1000);
+  fs::PathCache<int> cache(2, 1000);
   cache.insert("a", 1, 0);
   cache.insert("b", 2, 0);
   (void)cache.find("a", 1);  // a is now most-recent
@@ -159,19 +164,63 @@ TEST(LruTtlCache, CapacityEvictsLru) {
 }
 
 TEST(LruTtlCache, ZeroCapacityNeverStores) {
-  fs::LruTtlCache<int> cache(0, 1000);
+  fs::PathCache<int> cache(0, 1000);
   cache.insert("a", 1, 0);
   EXPECT_EQ(cache.find("a", 0), nullptr);
   EXPECT_EQ(cache.size(), 0u);
 }
 
 TEST(LruTtlCache, UpdateRefreshesValueAndTtl) {
-  fs::LruTtlCache<int> cache(4, 100);
+  fs::PathCache<int> cache(4, 100);
   cache.insert("a", 1, 0);
   cache.insert("a", 2, 50);  // refresh at t=50 -> expires at 150
   ASSERT_NE(cache.find("a", 120), nullptr);
   EXPECT_EQ(*cache.find("a", 120), 2);
   EXPECT_EQ(cache.size(), 1u);
+}
+
+TEST(LruTtlCache, ReinsertRefreshesRecencyWithoutDuplicating) {
+  fs::PathCache<int> cache(2, 1000);
+  cache.insert("a", 1, 0);
+  cache.insert("a", 1, 0);
+  EXPECT_EQ(cache.size(), 1u);
+  cache.insert("b", 2, 0);
+  cache.insert("a", 3, 0);  // a is now most-recent
+  cache.insert("c", 4, 0);  // evicts b, the only other entry
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_EQ(cache.find("b", 1), nullptr);
+  ASSERT_NE(cache.find("a", 1), nullptr);
+  EXPECT_EQ(*cache.find("a", 1), 3);
+}
+
+TEST(LruTtlCache, PathAndSpellingProbesMatchStringKeys) {
+  fs::PathCache<int> cache(4, 1000);
+  const fs::Path path = fs::Path::parse("/x/y");
+  cache.insert(path, 1, 0);
+  EXPECT_NE(cache.find(std::string("/x/y"), 1), nullptr);
+  EXPECT_NE(cache.find(fs::SpellingKey{path.str(), path.hash()}, 1), nullptr);
+  cache.erase(fs::SpellingKey{path});
+  EXPECT_EQ(cache.find(path, 1), nullptr);
+}
+
+TEST(LruTtlCache, IntegerKeysNeverExpireByDefault) {
+  fs::LruTtlCache<std::uint64_t, int> cache(2);
+  cache.insert(7u, 1, 0);
+  ASSERT_NE(cache.find(7u, std::numeric_limits<sim::SimTime>::max()), nullptr);
+  cache.insert(8u, 2, std::numeric_limits<sim::SimTime>::max());  // saturates, no wrap
+  EXPECT_NE(cache.find(8u, std::numeric_limits<sim::SimTime>::max()), nullptr);
+}
+
+TEST(LruTtlCache, CountsHitsAndMisses) {
+  fs::LruTtlCache<std::uint64_t, std::monostate> cache(1);
+  EXPECT_EQ(cache.find(1u, 0), nullptr);
+  cache.insert(1u, {}, 0);
+  EXPECT_NE(cache.find(1u, 0), nullptr);
+  EXPECT_NE(cache.find(1u, 0), nullptr);
+  cache.insert(2u, {}, 0);  // evicts 1
+  EXPECT_EQ(cache.find(1u, 0), nullptr);
+  EXPECT_EQ(cache.hits(), 2u);
+  EXPECT_EQ(cache.misses(), 2u);
 }
 
 }  // namespace

@@ -153,6 +153,29 @@ TEST(DfsClient, DentryCacheAvoidsRepeatLookups) {
   EXPECT_GT(f.client.dentry_hits(), 0u);
 }
 
+TEST(DfsClient, FullDentryCacheEvictsLeastRecentDirectory) {
+  DfsClientConfig cfg;
+  cfg.dentry_cache_capacity = 2;
+  cfg.dentry_ttl = 1_s;
+  Fixture f({}, cfg);
+  sim::run_task(f.sim, [](DfsClient& c) -> Task<> {
+    // A stat of a missing child always looks the leaf up; its parent costs
+    // one more lookup only when the parent's dentry is not cached.
+    (void)co_await c.mkdir(Path::parse("/a"), fs::FileMode::dir_default());
+    (void)co_await c.mkdir(Path::parse("/b"), fs::FileMode::dir_default());
+    std::uint64_t before = c.lookup_rpcs();
+    (void)co_await c.getattr(Path::parse("/a/missing"));  // a is now more recent than b
+    EXPECT_EQ(c.lookup_rpcs() - before, 1u);
+    (void)co_await c.mkdir(Path::parse("/c"), fs::FileMode::dir_default());  // evicts b
+    before = c.lookup_rpcs();
+    (void)co_await c.getattr(Path::parse("/a/missing"));
+    EXPECT_EQ(c.lookup_rpcs() - before, 1u);
+    before = c.lookup_rpcs();
+    (void)co_await c.getattr(Path::parse("/b/missing"));
+    EXPECT_EQ(c.lookup_rpcs() - before, 2u);
+  }(f.client));
+}
+
 TEST(DfsClient, TtlExpiryForcesRevalidation) {
   DfsClientConfig cfg;
   cfg.dentry_ttl = 1_ms;

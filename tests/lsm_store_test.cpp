@@ -225,6 +225,32 @@ TEST(LsmStore, BlockCacheAbsorbsRepeatedReads) {
   }(f.store));
 }
 
+TEST(LsmStore, ConcurrentMissesOnOneBlockTakeOneCacheSlot) {
+  LsmConfig cfg;
+  cfg.block_bytes = 64;
+  cfg.block_cache_bytes = 2 * 64;  // room for two blocks
+  Fixture f(cfg);
+  sim::run_task(f.sim, [](LsmStore& s) -> Task<> {
+    std::vector<std::pair<std::string, std::string>> rows;
+    for (int i = 0; i < 30; ++i) rows.emplace_back(key_of(i), "v");
+    co_await s.ingest(std::move(rows));
+  }(f.store));
+  // Keys 0, 12 and 24 of one table sit in three different 64-byte blocks.
+  const std::string b = key_of(0), c = key_of(12), d = key_of(24);
+  for (int i = 0; i < 2; ++i) {
+    f.sim.spawn([](LsmStore& s, std::string k) -> Task<> { (void)co_await s.get(k); }(f.store, b));
+  }
+  f.sim.run();
+  EXPECT_EQ(f.store.block_cache_misses(), 2u);
+  sim::run_task(f.sim, [](LsmStore& s, std::string kb, std::string kc, std::string kd) -> Task<> {
+    (void)co_await s.get(kc);  // miss: cache holds B and C
+    (void)co_await s.get(kb);  // hit: B is most recent
+    (void)co_await s.get(kd);  // miss: evicts C, the least recent
+    (void)co_await s.get(kb);  // hit: B's one entry survived
+  }(f.store, b, c, d));
+  EXPECT_EQ(f.store.block_cache_misses(), 4u);
+}
+
 TEST(LsmStore, ColdReadsChargeDiskTime) {
   LsmConfig cfg = tiny_memtables();
   cfg.block_cache_bytes = 0;  // disable caching: every probe hits the disk

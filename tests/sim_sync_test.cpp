@@ -167,39 +167,5 @@ TEST(WaitGroup, WaitOnZeroPassesThrough) {
   run_task(sim, [](WaitGroup& w) -> Task<> { co_await w.wait(); }(wg));
 }
 
-TEST(Barrier, ReleasesWhenAllArrive) {
-  Simulation sim;
-  Barrier barrier(sim, 4);
-  std::vector<SimTime> release_times;
-  for (int i = 1; i <= 4; ++i) {
-    sim.spawn([](Simulation& s, Barrier& b, int k, std::vector<SimTime>& out) -> Task<> {
-      co_await s.delay(static_cast<SimDuration>(k) * 1_us);
-      co_await b.arrive_and_wait();
-      out.push_back(s.now());
-    }(sim, barrier, i, release_times));
-  }
-  sim.run();
-  ASSERT_EQ(release_times.size(), 4u);
-  for (const auto t : release_times) EXPECT_EQ(t, 4'000u);  // last arriver's time
-}
-
-TEST(Barrier, IsReusableAcrossRounds) {
-  Simulation sim;
-  Barrier barrier(sim, 2);
-  std::vector<SimTime> times;
-  for (int p = 0; p < 2; ++p) {
-    sim.spawn([](Simulation& s, Barrier& b, int id, std::vector<SimTime>& out) -> Task<> {
-      for (int round = 1; round <= 3; ++round) {
-        co_await s.delay(static_cast<SimDuration>(id + 1) * 5_us);
-        co_await b.arrive_and_wait();
-        if (id == 0) out.push_back(s.now());
-      }
-    }(sim, barrier, p, times));
-  }
-  sim.run();
-  // Each round is gated by the slower party (10us per round).
-  EXPECT_EQ(times, (std::vector<SimTime>{10'000u, 20'000u, 30'000u}));
-}
-
 }  // namespace
 }  // namespace pacon::sim
