@@ -21,9 +21,9 @@ struct OpMessage {
 
   Kind kind = Kind::create;
   std::string path;
-  /// sim::Rng::hash(path), stamped at publish time from the region's intern
-  /// table (0 = never published): the commit side's pending-map lookups and
-  /// WAL redelivery reuse it instead of rehashing the spelling.
+  /// sim::Rng::hash(path), copied from the publisher's fs::Path::hash() when
+  /// the message is built: the commit side's pending-map lookups and WAL
+  /// redelivery reuse it instead of rehashing the spelling.
   std::uint64_t path_hash = 0;
   fs::FileMode mode{};
   fs::Credentials creds{};

@@ -114,18 +114,17 @@ fs::Path ConsistentRegion::checkpoint_path(std::uint64_t id) const {
   return fs::Path::parse("/.pacon").child("ckpt" + tag + "_" + std::to_string(id));
 }
 
-void ConsistentRegion::pending_increment(OpMessage& msg) {
-  msg.path_hash = sim::Rng::hash(msg.path);
+void ConsistentRegion::pending_increment(const OpMessage& msg) {
+  assert(msg.path_hash == sim::Rng::hash(msg.path) && "message not built by make_op");
   ++pending_by_hash_[msg.path_hash];
   ++pending_total_;
   queue_depth_gauge_.set(static_cast<std::int64_t>(pending_total_));
 }
 
 void ConsistentRegion::pending_decrement(const OpMessage& msg) {
-  // The hash stamped at publish time rides in the message, so the commit
-  // side never rehashes the path.
-  const std::uint64_t hash = msg.path_hash != 0 ? msg.path_hash : sim::Rng::hash(msg.path);
-  if (const auto it = pending_by_hash_.find(hash); it != pending_by_hash_.end()) {
+  // The hash stamped by make_op rides in the message, so the commit side
+  // never rehashes the path.
+  if (const auto it = pending_by_hash_.find(msg.path_hash); it != pending_by_hash_.end()) {
     if (--it->second == 0) pending_by_hash_.erase(it);
   }
   if (pending_total_ > 0 && --pending_total_ == 0) drained_gate_.open();
@@ -223,20 +222,25 @@ sim::Task<FsResult<void>> ConsistentRegion::check_parent(net::NodeId from,
                                                          obs::SpanId span) {
   const fs::Path parent = path.parent();
   if (!contains(parent)) co_return FsResult<void>{};  // workspace root's parent
-  auto meta = co_await cache_get(from, parent, span);
+  const auto meta = co_await cache_get(from, parent, span);
   if (meta) {
     if (meta->removed) co_return fs::fail(FsError::not_found);
     if (!meta->attr.is_dir()) co_return fs::fail(FsError::not_a_directory);
     co_return FsResult<void>{};
   }
   if (!config_.parent_check) co_return FsResult<void>{};
+  co_return co_await load_parent(from, parent, span);
+}
+
+sim::Task<FsResult<void>> ConsistentRegion::load_parent(net::NodeId from, fs::Path parent,
+                                                        obs::SpanId span) {
   // Parent exists on the DFS but is not cached: synchronous check + load.
   auto attr = co_await state_for(from).dfs_client->getattr(parent, span);
   if (!attr) co_return fs::fail(attr.error());
   if (!attr->is_dir()) co_return fs::fail(FsError::not_a_directory);
-  CachedMeta meta_new;
-  meta_new.attr = *attr;
-  (void)co_await cache_->add(from, parent.str(), encode_meta(meta_new), 0, parent.hash(), span);
+  CachedMeta loaded;
+  loaded.attr = *attr;
+  (void)co_await cache_->add(from, parent.str(), encode_meta(loaded), 0, parent.hash(), span);
   co_return FsResult<void>{};
 }
 
@@ -274,20 +278,7 @@ void ConsistentRegion::publish(std::uint32_t client, OpMessage msg, obs::SpanId 
 
 // ---- Create / mkdir ----------------------------------------------------------
 
-sim::Task<FsResult<void>> ConsistentRegion::create_common(net::NodeId from,
-                                                          std::uint32_t client,
-                                                          const fs::Path& path,
-                                                          fs::FileMode mode,
-                                                          fs::FileType type,
-                                                          bool parent_known,
-                                                          obs::SpanId parent) {
-  auto perm = co_await check_permission(from, path.parent(), fs::Access::write, parent);
-  if (!perm) co_return perm;
-  if (!parent_known) {
-    auto parent_ok = co_await check_parent(from, path, parent);
-    if (!parent_ok) co_return parent_ok;
-  }
-
+std::string ConsistentRegion::new_entry_value(fs::FileMode mode, fs::FileType type) const {
   CachedMeta meta;
   meta.attr.ino = 0;  // assigned by the DFS at commit; unused inside the cache
   meta.attr.type = type;
@@ -297,38 +288,73 @@ sim::Task<FsResult<void>> ConsistentRegion::create_common(net::NodeId from,
   meta.attr.nlink = type == fs::FileType::directory ? 2 : 1;
   meta.attr.ctime = sim_.now();
   meta.attr.mtime = sim_.now();
-  const auto resp =
-      co_await cache_->add(from, path.str(), encode_meta(meta), 0, path.hash(), parent);
-  if (resp.status == kv::KvStatus::exists) {
+  return encode_meta(meta);
+}
+
+OpMessage ConsistentRegion::make_op(OpMessage::Kind kind, const fs::Path& path,
+                                     fs::FileMode mode) const {
+  // Copy-constructing the path sizes its buffer exactly; assigning into an
+  // empty string would round it up, and a message can wait in the commit
+  // backlog for a long time.
+  return OpMessage{.kind = kind,
+                   .path = path.str(),
+                   .path_hash = path.hash(),
+                   .mode = mode,
+                   .creds = config_.creds};
+}
+
+sim::Task<FsResult<void>> ConsistentRegion::create_common(net::NodeId from,
+                                                          std::uint32_t client,
+                                                          const fs::Path& path,
+                                                          fs::FileMode mode,
+                                                          fs::FileType type,
+                                                          bool parent_known,
+                                                          obs::SpanId parent) {
+  // Every cold branch (hierarchical permission walk, DFS parent load,
+  // degraded pass-through, synchronous-commit ablation) runs in a coroutine
+  // of its own, so this frame -- live across every in-flight create --
+  // carries none of their state.
+  auto perm = co_await check_permission(from, path.parent(), fs::Access::write, parent);
+  if (!perm) co_return perm;
+  if (!parent_known) {
+    auto parent_ok = co_await check_parent(from, path, parent);
+    if (!parent_ok) co_return parent_ok;
+  }
+
+  const kv::KvStatus status =
+      (co_await cache_->add(from, path.str(), new_entry_value(mode, type), 0, path.hash(), parent))
+          .status;
+  if (status == kv::KvStatus::ok && config_.async_commit) {
+    co_await sim_.delay(config_.queue_publish_cpu);
+    publish(client,
+            make_op(type == fs::FileType::directory ? OpMessage::Kind::mkdir
+                                                    : OpMessage::Kind::create,
+                    path, mode),
+            parent);
+    co_return FsResult<void>{};
+  }
+  if (status == kv::KvStatus::exists) {
     // A marked-removed entry may be awaiting its remove commit; replacing it
     // would resurrect ordering problems, so surface EEXIST until then.
     co_return fs::fail(FsError::exists);
   }
-  if (resp.status == kv::KvStatus::unreachable) {
+  if (status == kv::KvStatus::unreachable) {
     // Degraded pass-through: no live cache server for this key (retries and
     // ring failover exhausted). The entry is not cached, but the namespace
     // still advances via a synchronous DFS commit; cached coverage rebuilds
     // lazily once the node returns.
     note_degraded(parent);
-    dfs::DfsClient& direct = *state_for(from).dfs_client;
-    auto committed = type == fs::FileType::directory ? co_await direct.mkdir(path, mode, parent)
-                                                     : co_await direct.create(path, mode, parent);
-    if (!committed) co_return fs::fail(committed.error());
-    co_return FsResult<void>{};
+  } else if (status != kv::KvStatus::ok) {
+    co_return fs::fail(FsError::no_space);
   }
-  if (resp.status != kv::KvStatus::ok) co_return fs::fail(FsError::no_space);
+  // Degraded pass-through, or the synchronous-commit ablation: the create
+  // goes straight to the DFS through this node's client.
+  co_return co_await commit_on_dfs(from, path, mode, type, parent);
+}
 
-  OpMessage op;
-  op.kind = type == fs::FileType::directory ? OpMessage::Kind::mkdir : OpMessage::Kind::create;
-  op.path = path.str();
-  op.mode = mode;
-  op.creds = config_.creds;
-  if (config_.async_commit) {
-    co_await sim_.delay(config_.queue_publish_cpu);
-    publish(client, op, parent);
-    co_return FsResult<void>{};
-  }
-  // Ablation: synchronous commit through this node's DFS client.
+sim::Task<FsResult<void>> ConsistentRegion::commit_on_dfs(net::NodeId from, fs::Path path,
+                                                          fs::FileMode mode, fs::FileType type,
+                                                          obs::SpanId parent) {
   dfs::DfsClient& io = *state_for(from).dfs_client;
   auto committed = type == fs::FileType::directory ? co_await io.mkdir(path, mode, parent)
                                                    : co_await io.create(path, mode, parent);
@@ -415,13 +441,9 @@ sim::Task<FsResult<void>> ConsistentRegion::remove(net::NodeId from, std::uint32
   }
 
   ++invalidation_epoch_;
-  OpMessage op;
-  op.kind = OpMessage::Kind::remove;
-  op.path = path.str();
-  op.creds = config_.creds;
   if (config_.async_commit) {
     co_await sim_.delay(config_.queue_publish_cpu);
-    publish(client, op, parent);
+    publish(client, make_op(OpMessage::Kind::remove, path), parent);
     co_return FsResult<void>{};
   }
   auto done = co_await state_for(from).dfs_client->unlink(path, parent);
@@ -623,14 +645,11 @@ sim::Task<FsResult<std::uint64_t>> ConsistentRegion::write(net::NodeId from,
     const auto swapped = co_await cache_->cas(from, path.str(), encode_meta(*meta), cur.cas, 0,
                                               path.hash(), parent);
     if (swapped.status != kv::KvStatus::ok) continue;  // conflict: re-execute
-    OpMessage op;
-    op.kind = OpMessage::Kind::write_data;
-    op.path = path.str();
-    op.size = new_size;
-    op.creds = config_.creds;
     if (config_.async_commit) {
       co_await sim_.delay(config_.queue_publish_cpu);
-      publish(client, op, parent);
+      OpMessage op = make_op(OpMessage::Kind::write_data, path);
+      op.size = new_size;
+      publish(client, std::move(op), parent);
     } else {
       auto wrote = co_await io.write(path, 0, new_size, parent);
       if (!wrote) co_return fs::fail(wrote.error());

@@ -290,12 +290,25 @@ class ConsistentRegion {
                                                  obs::SpanId span = obs::kNoSpan);
   sim::Task<fs::FsResult<void>> check_parent(net::NodeId from, const fs::Path& path,
                                              obs::SpanId span = obs::kNoSpan);
+  /// check_parent's cold branch: loads an uncached parent from the DFS.
+  sim::Task<fs::FsResult<void>> load_parent(net::NodeId from, fs::Path parent, obs::SpanId span);
 
   /// Inserts a new entry and publishes its commit message.
   sim::Task<fs::FsResult<void>> create_common(net::NodeId from, std::uint32_t client,
                                               const fs::Path& path, fs::FileMode mode,
                                               fs::FileType type, bool parent_known,
                                               obs::SpanId parent);
+  /// create_common's cold branches (degraded pass-through and the
+  /// synchronous-commit ablation): the create applied straight to the DFS.
+  sim::Task<fs::FsResult<void>> commit_on_dfs(net::NodeId from, fs::Path path, fs::FileMode mode,
+                                              fs::FileType type, obs::SpanId parent);
+  /// Encoded cache entry of a freshly created file or directory. Plain
+  /// helpers like this one and make_op keep their temporaries out of the
+  /// calling coroutine's frame.
+  std::string new_entry_value(fs::FileMode mode, fs::FileType type) const;
+  /// Commit message for `kind` on `path`, its path hash stamped from the
+  /// path's cached one.
+  OpMessage make_op(OpMessage::Kind kind, const fs::Path& path, fs::FileMode mode = {}) const;
 
   /// Cache entry fetch decoding the removed-marker; the path's cached hash
   /// rides along so the cluster router and server skip rehashing the key.
@@ -341,10 +354,9 @@ class ConsistentRegion {
 
   NodeState& state_for(net::NodeId node);
   fs::Path checkpoint_path(std::uint64_t id) const;
-  /// Pending-commit bookkeeping keyed by path hash. Increment stamps the
-  /// hash into the message; decrement and the contains probes reuse it, so
-  /// the commit side never rehashes the path.
-  void pending_increment(OpMessage& msg);
+  /// Pending-commit bookkeeping keyed by the path hash make_op stamped into
+  /// the message; the commit side reuses it and never rehashes the path.
+  void pending_increment(const OpMessage& msg);
   void pending_decrement(const OpMessage& msg);
   bool pending_contains(std::uint64_t hash) const {
     return pending_by_hash_.find(hash) != pending_by_hash_.end();

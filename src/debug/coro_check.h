@@ -11,7 +11,7 @@
 //   * double-schedule      -- one suspension, two queued wakeups;
 //   * schedule/resume of a frame that already completed or was destroyed;
 //   * reentrant resume     -- resuming a frame that is currently running;
-//   * co_await on a dead primitive (destroyed OneShot/Channel/Gate/...);
+//   * co_await on a dead primitive (destroyed Channel/Gate/Mutex/...);
 //   * primitive destroyed while live coroutines still wait on it;
 //   * coroutines still alive (and unowned) at Simulation teardown.
 //

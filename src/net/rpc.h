@@ -20,9 +20,10 @@
 // dedups retransmissions; only the pub/sub bus surfaces duplicates.
 #pragma once
 
+#include <coroutine>
 #include <cstddef>
 #include <functional>
-#include <memory>
+#include <optional>
 #include <utility>
 
 #include "fs/expected.h"
@@ -30,7 +31,6 @@
 #include "obs/trace.h"
 #include "sim/channel.h"
 #include "sim/simulation.h"
-#include "sim/sync.h"
 
 namespace pacon::net {
 
@@ -107,12 +107,14 @@ class RpcService {
     if (!fabric_.node_up(self_)) {
       co_return fs::Unexpected(RpcFailure::unreachable);  // server died in flight
     }
-    Envelope env{std::move(req), std::make_shared<sim::OneShot<Resp>>(sim_)};
-    auto result_slot = env.result;
-    if (!co_await inbox_.send(std::move(env))) {
+    // The envelope -- request, reply slot and this frame's handle -- stays
+    // in this frame: the worker moves the request out, emplaces the reply and
+    // wakes us. Only its address crosses the inbox.
+    Envelope env{std::move(req)};
+    if (!co_await inbox_.send(&env)) {
       co_return fs::Unexpected(RpcFailure::shutdown);
     }
-    Resp resp = co_await result_slot->take();
+    co_await ReplyAwaiter{env};
     const sim::FaultDecision resp_fate = fabric_.message_fate(self_, from);
     if (resp_fate.drop) {
       // The server executed the call but the response vanished: the caller
@@ -129,24 +131,40 @@ class RpcService {
       co_return fs::Unexpected(RpcFailure::unreachable);  // caller died awaiting response
     }
     span.finish("ok");
-    co_return std::move(resp);
+    co_return std::move(*env.reply);
   }
 
   std::uint64_t requests_served() const { return served_; }
 
  private:
+  /// One in-flight call, living in its caller's frame. The frame outlives
+  /// the reply: nothing cancels a suspended caller, so the worker may write
+  /// the reply and wake `caller` once the handler returns. At teardown the
+  /// kernel destroys callers and workers without resuming either.
   struct Envelope {
     Req request;
-    std::shared_ptr<sim::OneShot<Resp>> result;
+    std::optional<Resp> reply{};
+    std::coroutine_handle<> caller{};
+  };
+
+  /// Suspends the caller until the worker fills its envelope's reply; a
+  /// reply that landed first resumes without an event.
+  struct ReplyAwaiter {
+    Envelope& env;
+    bool await_ready() const { return env.reply.has_value(); }
+    void await_suspend(std::coroutine_handle<> h) { env.caller = h; }
+    void await_resume() const {}
   };
 
   sim::Task<> worker_loop() {
     for (;;) {
-      auto env = co_await inbox_.recv();
+      const std::optional<Envelope*> env = co_await inbox_.recv();
       if (!env) break;  // shutdown
-      Resp resp = co_await handler_(std::move(env->request));
+      Envelope& e = **env;
+      Resp resp = co_await handler_(std::move(e.request));
       ++served_;
-      env->result->set(std::move(resp));
+      e.reply.emplace(std::move(resp));
+      if (e.caller) sim_.schedule_now(e.caller);
     }
   }
 
@@ -155,7 +173,7 @@ class RpcService {
   NodeId self_;
   Handler handler_;
   Config config_;
-  sim::Channel<Envelope> inbox_;
+  sim::Channel<Envelope*> inbox_;
   std::uint64_t served_ = 0;
 };
 

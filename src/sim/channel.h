@@ -7,6 +7,10 @@
 //
 // recv() resolves to std::optional<T>; nullopt means the channel was closed
 // and fully drained, which is the idiomatic worker-loop exit condition.
+//
+// A blocked sender or receiver parks its awaiter -- which lives in its own
+// suspended frame -- on an intrusive wait list, so parking and waking never
+// touch the heap.
 #pragma once
 
 #include <cassert>
@@ -21,6 +25,44 @@
 
 namespace pacon::sim {
 
+/// Intrusive FIFO of parked awaiters. `Node` carries the `prev`/`next`
+/// links; nodes live in their coroutines' frames, which stay suspended (and
+/// alive) while linked.
+template <typename Node>
+class WaitList {
+ public:
+  bool empty() const { return head_ == nullptr; }
+  std::size_t size() const { return size_; }
+  Node* front() const { return head_; }
+
+  void push_back(Node* n) {
+    n->prev = tail_;
+    n->next = nullptr;
+    (tail_ != nullptr ? tail_->next : head_) = n;
+    tail_ = n;
+    ++size_;
+  }
+  Node* pop_front() {
+    Node* n = head_;
+    head_ = n->next;
+    (head_ != nullptr ? head_->prev : tail_) = nullptr;
+    --size_;
+    return n;
+  }
+  Node* pop_back() {
+    Node* n = tail_;
+    tail_ = n->prev;
+    (tail_ != nullptr ? tail_->next : head_) = nullptr;
+    --size_;
+    return n;
+  }
+
+ private:
+  Node* head_ = nullptr;
+  Node* tail_ = nullptr;
+  std::size_t size_ = 0;
+};
+
 template <typename T>
 class Channel {
  public:
@@ -32,10 +74,10 @@ class Channel {
   Channel(const Channel&) = delete;
   Channel& operator=(const Channel&) = delete;
   ~Channel() {
-    for (const RecvAwaiter* r : recv_waiters_) {
+    for (const RecvAwaiter* r = recv_waiters_.front(); r != nullptr; r = r->next) {
       debug::waiter_abandoned("Channel (receiver)", r->handle.address());
     }
-    for (const SendAwaiter* s : send_waiters_) {
+    for (const SendAwaiter* s = send_waiters_.front(); s != nullptr; s = s->next) {
       debug::waiter_abandoned("Channel (sender)", s->handle.address());
     }
   }
@@ -76,16 +118,14 @@ class Channel {
     if (closed_) return;
     closed_ = true;
     while (!send_waiters_.empty()) {
-      SendAwaiter* s = send_waiters_.front();
-      send_waiters_.pop_front();
+      SendAwaiter* s = send_waiters_.pop_front();
       s->accepted = false;
       s->completed = true;
       sim_.schedule_now(s->handle);
     }
     // Buffered items still satisfy receivers; only wake the surplus waiters.
     while (recv_waiters_.size() > items_.size()) {
-      RecvAwaiter* r = recv_waiters_.back();
-      recv_waiters_.pop_back();
+      RecvAwaiter* r = recv_waiters_.pop_back();
       r->result.reset();
       r->completed = true;
       sim_.schedule_now(r->handle);
@@ -98,6 +138,8 @@ class Channel {
     std::coroutine_handle<> handle{};
     std::optional<T> result{};
     bool completed = false;
+    RecvAwaiter* prev = nullptr;
+    RecvAwaiter* next = nullptr;
 
     bool await_ready() {
       if (!ch.canary_.check_alive()) {
@@ -133,6 +175,8 @@ class Channel {
     std::coroutine_handle<> handle{};
     bool accepted = false;
     bool completed = false;
+    SendAwaiter* prev = nullptr;
+    SendAwaiter* next = nullptr;
 
     bool await_ready() {
       if (!ch.canary_.check_alive()) {
@@ -165,8 +209,7 @@ class Channel {
   /// Hands `value` directly to the longest-waiting receiver, if any.
   bool deliver_to_waiting_receiver(T& value) {
     if (recv_waiters_.empty()) return false;
-    RecvAwaiter* r = recv_waiters_.front();
-    recv_waiters_.pop_front();
+    RecvAwaiter* r = recv_waiters_.pop_front();
     r->result = std::move(value);
     r->completed = true;
     sim_.schedule_now(r->handle);
@@ -176,8 +219,7 @@ class Channel {
   /// Moves the longest-waiting sender's item into freed buffer space.
   void admit_waiting_sender() {
     if (send_waiters_.empty() || items_.size() >= capacity_) return;
-    SendAwaiter* s = send_waiters_.front();
-    send_waiters_.pop_front();
+    SendAwaiter* s = send_waiters_.pop_front();
     items_.push_back(std::move(s->value));
     s->accepted = true;
     s->completed = true;
@@ -188,8 +230,8 @@ class Channel {
   std::size_t capacity_;
   bool closed_ = false;
   std::deque<T> items_;
-  std::deque<RecvAwaiter*> recv_waiters_;
-  std::deque<SendAwaiter*> send_waiters_;
+  WaitList<RecvAwaiter> recv_waiters_;
+  WaitList<SendAwaiter> send_waiters_;
   debug::AwaitableCanary canary_{"Channel"};
 };
 

@@ -8,72 +8,12 @@
 #include <coroutine>
 #include <cstddef>
 #include <deque>
-#include <optional>
 #include <utility>
 
 #include "debug/coro_check.h"
 #include "sim/simulation.h"
 
 namespace pacon::sim {
-
-/// Single-assignment value slot: one producer calls set(), any number of
-/// consumers await get() (each receives a copy; T must then be copyable, or
-/// use exactly one consumer with take()).
-template <typename T>
-class OneShot {
- public:
-  explicit OneShot(Simulation& sim) : sim_(sim) {}
-  OneShot(const OneShot&) = delete;
-  OneShot& operator=(const OneShot&) = delete;
-  ~OneShot() {
-    for (auto h : waiters_) debug::waiter_abandoned("OneShot", h.address());
-  }
-
-  bool ready() const { return value_.has_value(); }
-
-  void set(T value) {
-    assert(!value_.has_value() && "OneShot::set called twice");
-    value_.emplace(std::move(value));
-    for (auto h : waiters_) sim_.schedule_now(h);
-    waiters_.clear();
-  }
-
-  /// Awaitable returning a reference-copied value.
-  auto get() {
-    struct Awaiter {
-      OneShot& slot;
-      bool await_ready() const {
-        // A dead slot reports (and aborts under the default handler) before
-        // any of its state is touched.
-        if (!slot.canary_.check_alive()) return true;
-        return slot.value_.has_value();
-      }
-      void await_suspend(std::coroutine_handle<> h) { slot.waiters_.push_back(h); }
-      T await_resume() const { return *slot.value_; }
-    };
-    return Awaiter{*this};
-  }
-
-  /// Awaitable that moves the value out; valid for exactly one consumer.
-  auto take() {
-    struct Awaiter {
-      OneShot& slot;
-      bool await_ready() const {
-        if (!slot.canary_.check_alive()) return true;
-        return slot.value_.has_value();
-      }
-      void await_suspend(std::coroutine_handle<> h) { slot.waiters_.push_back(h); }
-      T await_resume() const { return std::move(*slot.value_); }
-    };
-    return Awaiter{*this};
-  }
-
- private:
-  Simulation& sim_;
-  std::optional<T> value_;
-  std::deque<std::coroutine_handle<>> waiters_;
-  debug::AwaitableCanary canary_{"OneShot"};
-};
 
 /// Manually-reset gate. Processes await wait() until somebody open()s it.
 class Gate {

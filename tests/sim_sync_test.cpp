@@ -10,31 +10,6 @@
 namespace pacon::sim {
 namespace {
 
-TEST(OneShot, GetAfterSetIsImmediate) {
-  Simulation sim;
-  OneShot<int> slot(sim);
-  slot.set(11);
-  const int v = run_task(sim, [](OneShot<int>& s) -> Task<int> { co_return co_await s.get(); }(slot));
-  EXPECT_EQ(v, 11);
-}
-
-TEST(OneShot, WaitersWakeOnSet) {
-  Simulation sim;
-  OneShot<int> slot(sim);
-  std::vector<int> seen;
-  for (int i = 0; i < 3; ++i) {
-    sim.spawn([](OneShot<int>& s, std::vector<int>& out) -> Task<> {
-      out.push_back(co_await s.get());
-    }(slot, seen));
-  }
-  sim.spawn([](Simulation& s, OneShot<int>& slot_ref) -> Task<> {
-    co_await s.delay(5_us);
-    slot_ref.set(7);
-  }(sim, slot));
-  sim.run();
-  EXPECT_EQ(seen, (std::vector<int>{7, 7, 7}));
-}
-
 TEST(Gate, OpenReleasesAllWaiters) {
   Simulation sim;
   Gate gate(sim);
