@@ -12,11 +12,16 @@
 // dirty bytes that a background flusher writes to the node-local disk once
 // per flush period, the way a real WAL batches fsyncs. The in-memory deque
 // is the log's contents; acknowledged prefixes are compacted away.
+//
+// The log is the only owner of a queued op's message. Everything downstream
+// of the sorter -- the ordered stream, the retry queue, the redelivery pass
+// -- passes a CommitTicket naming the record by its sequence number and
+// copies the message out only for the apply it is running, so a backlog of
+// N ops holds N messages, not one per stage.
 #pragma once
 
 #include <cstdint>
 #include <deque>
-#include <unordered_set>
 #include <vector>
 
 #include "core/op_message.h"
@@ -27,6 +32,14 @@
 
 namespace pacon::core {
 
+/// One entry of a node's ordered stream or retry queue: a WAL record's
+/// sequence number, or a barrier sentinel (which is never logged).
+struct CommitTicket {
+  std::uint64_t seq = 0;  // unused for barriers
+  std::uint64_t epoch = 0;
+  bool barrier = false;
+};
+
 class CommitWal {
  public:
   CommitWal(sim::Simulation& sim, sim::SimDisk& disk, sim::SimDuration flush_period)
@@ -34,39 +47,55 @@ class CommitWal {
   CommitWal(const CommitWal&) = delete;
   CommitWal& operator=(const CommitWal&) = delete;
 
-  /// Records `msg` (keyed by its op_id) before it is handed to the
-  /// committer. Barrier sentinels are never logged: an aborted barrier is
-  /// replayed by the dependent operation itself, not from the log.
-  void append(const OpMessage& msg) {
-    log_.push_back(msg);
+  /// Records `msg` before it is handed to the committer and returns its
+  /// sequence number. Barrier sentinels are never logged: an aborted barrier
+  /// is replayed by the dependent operation itself, not from the log.
+  std::uint64_t append(OpMessage msg) {
     dirty_bytes_ += kRecordOverhead + msg.path.size();
+    log_.push_back(Record{std::move(msg), false});
     ++appends_;
     note_backlog();
+    return first_seq_ + log_.size() - 1;
   }
 
-  /// The DFS applied op `op_id`; it will not be redelivered.
-  void ack(std::uint64_t op_id) {
-    acked_.insert(op_id);
+  /// The DFS applied record `seq`; it will not be redelivered. Acking an
+  /// already-acked record still costs its log write but changes nothing.
+  void ack(std::uint64_t seq) {
     dirty_bytes_ += kAckBytes;
     ++acks_;
-    compact();
+    if (!acked(seq)) {
+      log_[seq - first_seq_].acked = true;
+      ++acked_in_log_;
+      compact();
+    }
     note_backlog();
   }
 
-  bool acked(std::uint64_t op_id) const { return acked_.contains(op_id); }
+  /// True once record `seq` was acknowledged, including after compaction
+  /// dropped it.
+  bool acked(std::uint64_t seq) const {
+    return seq < first_seq_ || log_[seq - first_seq_].acked;
+  }
 
-  /// Appended-but-unacknowledged ops in append order -- the redelivery set a
-  /// restarted commit process replays first.
-  std::vector<OpMessage> unacked() const {
-    std::vector<OpMessage> out;
-    out.reserve(log_.size());
-    for (const auto& msg : log_) {
-      if (!acked_.contains(msg.op_id)) out.push_back(msg);
+  /// Record `seq`'s message, or nullptr once it was acked and compacted
+  /// away. The pointer lives until the record is compacted: copy the
+  /// message before suspending.
+  const OpMessage* find(std::uint64_t seq) const {
+    return seq < first_seq_ ? nullptr : &log_[seq - first_seq_].msg;
+  }
+
+  /// Sequence numbers of the appended-but-unacknowledged records in append
+  /// order -- the redelivery set a restarted commit process replays first.
+  std::vector<std::uint64_t> unacked() const {
+    std::vector<std::uint64_t> out;
+    out.reserve(backlog());
+    for (std::size_t i = 0; i < log_.size(); ++i) {
+      if (!log_[i].acked) out.push_back(first_seq_ + i);
     }
     return out;
   }
 
-  std::size_t backlog() const { return log_.size() - acked_.size(); }
+  std::size_t backlog() const { return log_.size() - acked_in_log_; }
 
   /// Optional metrics hook: the WAL cannot name a registry metric itself
   /// (it does not know which region/node it belongs to), so the owner
@@ -100,13 +129,17 @@ class CommitWal {
   static constexpr std::uint64_t kRecordOverhead = 48;
   static constexpr std::uint64_t kAckBytes = 16;
 
-  /// Drops the fully-acknowledged log prefix. An op can only be re-appended
-  /// never (queue delivery is one-shot; redelivery replays from this log),
-  /// so forgetting an acked id once its record left the log is safe.
+  struct Record {
+    OpMessage msg;
+    bool acked;
+  };
+
+  /// Drops the fully-acknowledged log prefix.
   void compact() {
-    while (!log_.empty() && acked_.contains(log_.front().op_id)) {
-      acked_.erase(log_.front().op_id);
+    while (!log_.empty() && log_.front().acked) {
       log_.pop_front();
+      ++first_seq_;
+      --acked_in_log_;
     }
   }
 
@@ -117,8 +150,10 @@ class CommitWal {
   sim::Simulation& sim_;
   sim::SimDisk& disk_;
   sim::SimDuration flush_period_;
-  std::deque<OpMessage> log_;
-  std::unordered_set<std::uint64_t> acked_;
+  std::deque<Record> log_;
+  /// Sequence number of log_.front(); sequence numbers start at 0.
+  std::uint64_t first_seq_ = 0;
+  std::size_t acked_in_log_ = 0;
   std::uint64_t dirty_bytes_ = 0;
   std::uint64_t appends_ = 0;
   std::uint64_t acks_ = 0;

@@ -84,8 +84,8 @@ ConsistentRegion::ConsistentRegion(sim::Simulation& sim, net::Fabric& fabric,
     dfs::DfsClientConfig dfs_cfg;
     dfs_cfg.creds = config_.creds;
     state->dfs_client = std::make_unique<dfs::DfsClient>(sim_, dfs_, node, dfs_cfg);
-    state->ordered = std::make_unique<sim::Channel<OpMessage>>(sim_);
-    state->retry_queue = std::make_unique<sim::Channel<OpMessage>>(sim_);
+    state->ordered = std::make_unique<sim::Channel<CommitTicket>>(sim_);
+    state->retry_queue = std::make_unique<sim::Channel<CommitTicket>>(sim_);
     state->spill_disk = std::make_unique<sim::SimDisk>(sim_, sim::DiskConfig::nvme());
     state->wal_disk = std::make_unique<sim::SimDisk>(sim_, sim::DiskConfig::nvme());
     state->wal = std::make_unique<CommitWal>(sim_, *state->wal_disk, config_.wal_flush_period);
@@ -386,13 +386,18 @@ sim::Task<FsResult<fs::InodeAttr>> ConsistentRegion::getattr(net::NodeId from,
     if (meta->removed) co_return fs::fail(FsError::not_found);
     co_return meta->attr;
   }
+  co_return co_await load_attr(from, path, parent);
+}
+
+sim::Task<FsResult<fs::InodeAttr>> ConsistentRegion::load_attr(net::NodeId from, fs::Path path,
+                                                               obs::SpanId span) {
   // Miss: synchronously load from the DFS (Table I: getattr on miss).
-  auto attr = co_await state_for(from).dfs_client->getattr(path, parent);
+  auto attr = co_await state_for(from).dfs_client->getattr(path, span);
   if (!attr) co_return fs::fail(attr.error());
   CachedMeta loaded;
   loaded.attr = *attr;
   loaded.large_file = attr->size > config_.small_file_threshold;
-  (void)co_await cache_->add(from, path.str(), encode_meta(loaded), 0, path.hash(), parent);
+  (void)co_await cache_->add(from, path.str(), encode_meta(loaded), 0, path.hash(), span);
   co_return *attr;
 }
 
@@ -714,14 +719,16 @@ sim::Task<> ConsistentRegion::sorter_loop(NodeState& node) {
         node.barrier_seen.erase(msg->epoch);
         // Forward a single sentinel; per-publisher FIFO guarantees every
         // epoch-e operation from this node's clients precedes it.
-        (void)node.ordered->try_send(OpMessage{*msg});
+        (void)node.ordered->try_send(CommitTicket{.epoch = msg->epoch, .barrier = true});
       }
       continue;
     }
     // Durable before visible: once logged, a crash between here and the
-    // DFS apply replays the op (at-least-once).
-    node.wal->append(*msg);
-    (void)node.ordered->try_send(std::move(*msg));
+    // DFS apply replays the op (at-least-once). The log keeps the message;
+    // the committer gets its ticket.
+    const std::uint64_t epoch = msg->epoch;
+    const std::uint64_t seq = node.wal->append(std::move(*msg));
+    (void)node.ordered->try_send(CommitTicket{.seq = seq, .epoch = epoch});
   }
   node.ordered->close();
 }
@@ -729,51 +736,57 @@ sim::Task<> ConsistentRegion::sorter_loop(NodeState& node) {
 sim::Task<> ConsistentRegion::committer_loop(NodeState& node) {
   const std::uint64_t generation = node.commit_generation;
   // Redeliver the WAL backlog first: ops a previous incarnation consumed
-  // from the queue but never acknowledged. Already-applied ops are filtered
-  // by their idempotency id (the acked set) or absorbed as EEXIST replays.
-  for (OpMessage replay : node.wal->unacked()) {
+  // from the queue but never acknowledged. Their tickets may still be
+  // queued too; that second delivery finds the record acked (or compacted)
+  // and counts as a duplicate, or is absorbed as an EEXIST replay.
+  for (const std::uint64_t seq : node.wal->unacked()) {
     if (node.commit_generation != generation) co_return;
     ++redelivered_ops_;
     redelivered_ctr_.add();
+    // Still logged: only this loop acks records it has not reached yet (the
+    // retry worker holds only records it already passed). Read before the
+    // apply suspends; the ack may compact the record away.
+    const OpMessage* replay = node.wal->find(seq);
     sim_.trace_note_lazy([&] {
-      return "redeliver op=" + std::to_string(replay.op_id) + " path=" + replay.path;
+      return "redeliver op=" + std::to_string(replay->op_id) + " path=" + replay->path;
     });
     // The replayed apply nests under a "wal.replay" span which itself hangs
     // off the op's original (still-open) commit span, so a trace shows the
     // crash-and-redeliver detour inside the one logical operation.
-    obs::Span replay_span(replay.span != obs::kNoSpan ? sim_.tracer() : nullptr, "wal.replay",
-                          replay.span, node.node.value);
-    const bool applied = co_await apply_and_account(node, replay, generation, replay_span.id());
+    CommitTicket ticket{.seq = seq, .epoch = replay->epoch};
+    obs::Span replay_span(replay->span != obs::kNoSpan ? sim_.tracer() : nullptr, "wal.replay",
+                          replay->span, node.node.value);
+    const bool applied = co_await apply_and_account(node, seq, generation, replay_span.id());
     replay_span.finish(applied ? "ok" : "requeued");
     if (node.commit_generation != generation) co_return;
     if (!applied) {
       ++node.retrying;
-      (void)node.retry_queue->try_send(std::move(replay));
+      (void)node.retry_queue->try_send(ticket);
     }
   }
   for (;;) {
-    auto msg = co_await node.ordered->recv();
-    if (!msg) break;
+    auto ticket = co_await node.ordered->recv();
+    if (!ticket) break;
     if (node.commit_generation != generation) co_return;  // crashed while parked
-    if (is_barrier(*msg)) {
+    if (ticket->barrier) {
       // A barrier may only be reported once every operation of its epoch --
       // including ones parked for resubmission -- reached the DFS.
       while (node.retrying > 0 && node.alive) {
         co_await sim_.delay(config_.commit_retry.base_delay);
         if (node.commit_generation != generation) co_return;
       }
-      epochs_.node_reached_barrier(msg->epoch);
+      epochs_.node_reached_barrier(ticket->epoch);
       continue;
     }
-    if (node.alive) co_await epochs_.wait_epoch_open(msg->epoch);
+    if (node.alive) co_await epochs_.wait_epoch_open(ticket->epoch);
     if (node.commit_generation != generation) co_return;
-    const bool applied = co_await apply_and_account(node, *msg, generation);
+    const bool applied = co_await apply_and_account(node, ticket->seq, generation);
     if (node.commit_generation != generation) co_return;
     if (!applied) {
       // Independent commit: park for resubmission; keep draining the queue
       // (the op this one depends on may be right behind it).
       ++node.retrying;
-      (void)node.retry_queue->try_send(std::move(*msg));
+      (void)node.retry_queue->try_send(*ticket);
     }
   }
 }
@@ -781,18 +794,21 @@ sim::Task<> ConsistentRegion::committer_loop(NodeState& node) {
 sim::Task<> ConsistentRegion::retry_loop(NodeState& node) {
   const std::uint64_t generation = node.commit_generation;
   for (;;) {
-    auto msg = co_await node.retry_queue->recv();
-    if (!msg) break;
+    auto ticket = co_await node.retry_queue->recv();
+    if (!ticket) break;
     if (node.commit_generation != generation) co_return;
     for (std::size_t attempt = 0;; ++attempt) {
       ++commit_retries_;
       retries_ctr_.add();
-      if (obs::Tracer* tracer = sim_.tracer(); tracer != nullptr && msg->span != obs::kNoSpan) {
-        tracer->event(msg->span, "commit_retry", "attempt=" + std::to_string(attempt + 1));
+      if (obs::Tracer* tracer = sim_.tracer(); tracer != nullptr) {
+        if (const OpMessage* msg = node.wal->find(ticket->seq);
+            msg != nullptr && msg->span != obs::kNoSpan) {
+          tracer->event(msg->span, "commit_retry", "attempt=" + std::to_string(attempt + 1));
+        }
       }
       co_await sim_.delay(config_.commit_retry.backoff(attempt, rng_));
       if (node.commit_generation != generation) co_return;
-      const bool applied = co_await apply_and_account(node, *msg, generation);
+      const bool applied = co_await apply_and_account(node, ticket->seq, generation);
       if (node.commit_generation != generation) co_return;
       if (applied) break;
     }
@@ -800,20 +816,28 @@ sim::Task<> ConsistentRegion::retry_loop(NodeState& node) {
   }
 }
 
-sim::Task<bool> ConsistentRegion::apply_and_account(NodeState& node, const OpMessage& msg,
+// lint-allow: coro-param-ref node_states_ owns every NodeState for the region's life
+sim::Task<bool> ConsistentRegion::apply_and_account(NodeState& node, std::uint64_t seq,
                                                     std::uint64_t generation,
                                                     obs::SpanId span_override) {
   obs::Tracer* const tracer = sim_.tracer();
-  if (node.wal->acked(msg.op_id)) {
-    // Idempotency-id dedup: a redelivered copy of an op that already reached
-    // the DFS. Applied exactly once overall; nothing left to account.
+  if (node.wal->acked(seq)) {
+    // Idempotency dedup: a redelivered copy of an op that already reached
+    // the DFS. Applied exactly once overall; nothing left to account. A
+    // compacted record's commit span was closed by its ack.
     ++duplicate_deliveries_;
-    if (tracer != nullptr && msg.span != obs::kNoSpan) tracer->end_span(msg.span, "committed");
+    if (const OpMessage* done = node.wal->find(seq);
+        tracer != nullptr && done != nullptr && done->span != obs::kNoSpan) {
+      tracer->end_span(done->span, "committed");
+    }
     co_return true;
   }
+  // The apply below suspends, and another delivery of the same record may
+  // ack it meanwhile, letting compaction drop it: work on a copy.
+  const OpMessage msg = *node.wal->find(seq);
   if (!node.alive) {
     // Dead node: the op is lost (restore() repairs); account it out.
-    node.wal->ack(msg.op_id);
+    node.wal->ack(seq);
     pending_decrement(msg);
     if (tracer != nullptr && msg.span != obs::kNoSpan) tracer->end_span(msg.span, "discarded");
     co_return true;
@@ -836,7 +860,7 @@ sim::Task<bool> ConsistentRegion::apply_and_account(NodeState& node, const OpMes
     co_return true;
   }
   if (!node.alive) {
-    node.wal->ack(msg.op_id);
+    node.wal->ack(seq);
     pending_decrement(msg);
     if (tracer != nullptr && msg.span != obs::kNoSpan) tracer->end_span(msg.span, "discarded");
     co_return true;
@@ -845,7 +869,7 @@ sim::Task<bool> ConsistentRegion::apply_and_account(NodeState& node, const OpMes
     // exists = an idempotent replay (e.g. recovery re-commit); accept.
     ++committed_ops_;
     committed_ctr_.add();
-    node.wal->ack(msg.op_id);
+    node.wal->ack(seq);
     pending_decrement(msg);
     if (tracer != nullptr && msg.span != obs::kNoSpan) tracer->end_span(msg.span, "committed");
     sim_.trace_note_lazy([&] {
@@ -1003,8 +1027,8 @@ void ConsistentRegion::crash_commit_process(net::NodeId node_id) {
   node.retry_queue->close();
   node.dead_channels.push_back(std::move(node.ordered));
   node.dead_channels.push_back(std::move(node.retry_queue));
-  node.ordered = std::make_unique<sim::Channel<OpMessage>>(sim_);
-  node.retry_queue = std::make_unique<sim::Channel<OpMessage>>(sim_);
+  node.ordered = std::make_unique<sim::Channel<CommitTicket>>(sim_);
+  node.retry_queue = std::make_unique<sim::Channel<CommitTicket>>(sim_);
   sim_.trace_note_lazy([&] {
     return "commit-crash node=" + std::to_string(node_id.value) +
            " backlog=" + std::to_string(node.wal->backlog());

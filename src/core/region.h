@@ -258,11 +258,12 @@ class ConsistentRegion {
     std::shared_ptr<net::PubSubBus<OpMessage>::Subscription> queue;
     std::unique_ptr<dfs::DfsClient> dfs_client;
     /// Sorted operation stream between the sorter and committer halves of
-    /// the commit process (barrier sentinels included).
-    std::unique_ptr<sim::Channel<OpMessage>> ordered;
+    /// the commit process (barrier sentinels included). Tickets name WAL
+    /// records; the WAL owns the messages.
+    std::unique_ptr<sim::Channel<CommitTicket>> ordered;
     /// Failed commits awaiting resubmission; a separate worker retries them
     /// so one rejected operation never head-of-line blocks the queue.
-    std::unique_ptr<sim::Channel<OpMessage>> retry_queue;
+    std::unique_ptr<sim::Channel<CommitTicket>> retry_queue;
     std::uint64_t retrying = 0;
     /// Node-local device for direct-I/O spill files (fsync of files whose
     /// create has not committed; Section III.D.2).
@@ -281,7 +282,7 @@ class ConsistentRegion {
     bool commit_running = true;
     /// Channels closed by a crash are parked here, not destructed: loops may
     /// still be suspended in their wait queues until the close wakes them.
-    std::vector<std::unique_ptr<sim::Channel<OpMessage>>> dead_channels;
+    std::vector<std::unique_ptr<sim::Channel<CommitTicket>>> dead_channels;
   };
 
   /// Permission check dispatch: batch (local) or hierarchical (ablation).
@@ -292,6 +293,10 @@ class ConsistentRegion {
                                              obs::SpanId span = obs::kNoSpan);
   /// check_parent's cold branch: loads an uncached parent from the DFS.
   sim::Task<fs::FsResult<void>> load_parent(net::NodeId from, fs::Path parent, obs::SpanId span);
+
+  /// getattr's cold branch: loads an uncached entry from the DFS and caches it.
+  sim::Task<fs::FsResult<fs::InodeAttr>> load_attr(net::NodeId from, fs::Path path,
+                                                   obs::SpanId span);
 
   /// Inserts a new entry and publishes its commit message.
   sim::Task<fs::FsResult<void>> create_common(net::NodeId from, std::uint32_t client,
@@ -340,13 +345,16 @@ class ConsistentRegion {
   sim::Task<> sorter_loop(NodeState& node);
   sim::Task<> committer_loop(NodeState& node);
   sim::Task<> retry_loop(NodeState& node);
-  /// One commit attempt incl. bookkeeping; false = needs resubmission.
-  /// `generation` is the commit-process incarnation the caller belongs to: a
-  /// crash mid-apply means the result is neither acked nor accounted (the op
-  /// redelivers -- the at-least-once window). `span_override` re-parents the
-  /// "dfs.apply" child span (WAL redelivery hangs the replayed apply under
-  /// its "wal.replay" span instead of directly under the commit span).
-  sim::Task<bool> apply_and_account(NodeState& node, const OpMessage& msg,
+  /// One commit attempt of WAL record `seq` incl. bookkeeping; false = needs
+  /// resubmission. A record already acked (or compacted away) is an acked
+  /// duplicate. `generation` is the commit-process incarnation the caller
+  /// belongs to: a crash mid-apply means the result is neither acked nor
+  /// accounted (the op redelivers -- the at-least-once window).
+  /// `span_override` re-parents the "dfs.apply" child span (WAL redelivery
+  /// hangs the replayed apply under its "wal.replay" span instead of
+  /// directly under the commit span).
+  // lint-allow: coro-param-ref node_states_ owns every NodeState for the region's life
+  sim::Task<bool> apply_and_account(NodeState& node, std::uint64_t seq,
                                     std::uint64_t generation,
                                     obs::SpanId span_override = obs::kNoSpan);
   sim::Task<fs::FsError> apply_once(NodeState& node, const OpMessage& msg,

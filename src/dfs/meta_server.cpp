@@ -19,21 +19,19 @@ MetaServer::MetaServer(sim::Simulation& sim, net::Fabric& fabric, net::NodeId no
 }
 
 void MetaServer::install_root() {
-  Inode root;
-  root.attr.ino = fs::kRootIno;
-  root.attr.type = fs::FileType::directory;
+  fs::InodeAttr root;
+  root.ino = fs::kRootIno;
+  root.type = fs::FileType::directory;
   // World-writable scratch root, as HPC shared filesystems are deployed:
   // applications create their own workspace directories under it.
-  root.attr.mode = fs::FileMode{0x7, 0x7, 0x7};
-  root.attr.nlink = 2;
-  inodes_.emplace(fs::kRootIno, std::move(root));
+  root.mode = fs::FileMode{0x7, 0x7, 0x7};
+  root.nlink = 2;
+  inodes_.emplace(fs::kRootIno, root);
 }
 
 void MetaServer::adopt_directory(const fs::InodeAttr& attr) {
   assert(attr.is_dir());
-  Inode dir;
-  dir.attr = attr;
-  inodes_.emplace(attr.ino, std::move(dir));
+  inodes_.emplace(attr.ino, attr);
 }
 
 sim::Task<MetaResponse> MetaServer::handle(MetaRequest req) {
@@ -79,30 +77,35 @@ MetaResponse MetaServer::apply(const MetaRequest& req) {
   return resp;
 }
 
-MetaServer::Inode* MetaServer::find_dir(fs::Ino ino, FsError& err) {
+fs::InodeAttr* MetaServer::find_dir(fs::Ino ino, FsError& err) {
   auto it = inodes_.find(ino);
   if (it == inodes_.end()) {
     err = FsError::not_found;
     return nullptr;
   }
-  if (!it->second.attr.is_dir()) {
+  if (!it->second.is_dir()) {
     err = FsError::not_a_directory;
     return nullptr;
   }
   return &it->second;
 }
 
+MetaServer::Dirents* MetaServer::dirents_of(fs::Ino dir) {
+  auto it = dirents_.find(dir);
+  return it == dirents_.end() ? nullptr : &it->second;
+}
+
 MetaResponse MetaServer::do_lookup(const MetaRequest& req) {
   MetaResponse resp;
-  Inode* parent = find_dir(req.parent, resp.status);
+  fs::InodeAttr* parent = find_dir(req.parent, resp.status);
   if (!parent) return resp;
-  if (!fs::permits(parent->attr.mode, parent->attr.uid, parent->attr.gid, req.creds,
-                   fs::Access::execute)) {
+  if (!fs::permits(parent->mode, parent->uid, parent->gid, req.creds, fs::Access::execute)) {
     resp.status = FsError::permission;
     return resp;
   }
-  auto it = parent->children.find(req.name);
-  if (it == parent->children.end()) {
+  Dirents* entries = dirents_of(req.parent);
+  auto it = entries != nullptr ? entries->find(req.name) : Dirents::iterator{};
+  if (entries == nullptr || it == entries->end()) {
     resp.status = FsError::not_found;
     return resp;
   }
@@ -114,7 +117,7 @@ MetaResponse MetaServer::do_lookup(const MetaRequest& req) {
     resp.attr.ino = it->second;
     return resp;
   }
-  resp.attr = child->second.attr;
+  resp.attr = child->second;
   return resp;
 }
 
@@ -125,80 +128,79 @@ MetaResponse MetaServer::do_getattr(const MetaRequest& req) {
     resp.status = FsError::not_found;
     return resp;
   }
-  resp.attr = it->second.attr;
+  resp.attr = it->second;
   return resp;
 }
 
 MetaResponse MetaServer::do_create(const MetaRequest& req) {
   MetaResponse resp;
-  Inode* parent = find_dir(req.parent, resp.status);
+  fs::InodeAttr* parent = find_dir(req.parent, resp.status);
   if (!parent) return resp;
-  if (!fs::permits(parent->attr.mode, parent->attr.uid, parent->attr.gid, req.creds,
-                   fs::Access::write) ||
-      !fs::permits(parent->attr.mode, parent->attr.uid, parent->attr.gid, req.creds,
-                   fs::Access::execute)) {
+  if (!fs::permits(parent->mode, parent->uid, parent->gid, req.creds, fs::Access::write) ||
+      !fs::permits(parent->mode, parent->uid, parent->gid, req.creds, fs::Access::execute)) {
     resp.status = FsError::permission;
     return resp;
   }
-  if (parent->children.contains(req.name)) {
+  Dirents& entries = dirents_[req.parent];
+  if (entries.contains(req.name)) {
     resp.status = FsError::exists;
     return resp;
   }
-  Inode child;
-  child.attr.ino = next_ino_++;
-  child.attr.type = req.type;
-  child.attr.mode = req.mode;
-  child.attr.uid = req.creds.uid;
-  child.attr.gid = req.creds.gid;
-  child.attr.nlink = req.type == fs::FileType::directory ? 2 : 1;
-  child.attr.ctime = sim_.now();
-  child.attr.mtime = sim_.now();
-  resp.attr = child.attr;
-  parent->children.emplace(req.name, child.attr.ino);
-  parent->attr.mtime = sim_.now();
-  if (req.type == fs::FileType::directory) ++parent->attr.nlink;
-  inodes_.emplace(resp.attr.ino, std::move(child));
+  fs::InodeAttr child;
+  child.ino = next_ino_++;
+  child.type = req.type;
+  child.mode = req.mode;
+  child.uid = req.creds.uid;
+  child.gid = req.creds.gid;
+  child.nlink = req.type == fs::FileType::directory ? 2 : 1;
+  child.ctime = sim_.now();
+  child.mtime = sim_.now();
+  resp.attr = child;
+  entries.emplace(req.name, child.ino);
+  parent->mtime = sim_.now();
+  if (req.type == fs::FileType::directory) ++parent->nlink;
+  inodes_.emplace(child.ino, child);
   return resp;
 }
 
 MetaResponse MetaServer::do_unlink(const MetaRequest& req) {
   MetaResponse resp;
-  Inode* parent = find_dir(req.parent, resp.status);
+  fs::InodeAttr* parent = find_dir(req.parent, resp.status);
   if (!parent) return resp;
-  if (!fs::permits(parent->attr.mode, parent->attr.uid, parent->attr.gid, req.creds,
-                   fs::Access::write)) {
+  if (!fs::permits(parent->mode, parent->uid, parent->gid, req.creds, fs::Access::write)) {
     resp.status = FsError::permission;
     return resp;
   }
-  auto it = parent->children.find(req.name);
-  if (it == parent->children.end()) {
+  Dirents* entries = dirents_of(req.parent);
+  auto it = entries != nullptr ? entries->find(req.name) : Dirents::iterator{};
+  if (entries == nullptr || it == entries->end()) {
     resp.status = FsError::not_found;
     return resp;
   }
   auto child = inodes_.find(it->second);
   if (child != inodes_.end()) {
-    if (child->second.attr.is_dir()) {
+    if (child->second.is_dir()) {
       resp.status = FsError::is_a_directory;
       return resp;
     }
     inodes_.erase(child);
   }
-  parent->children.erase(it);
-  parent->attr.mtime = sim_.now();
+  entries->erase(it);
+  parent->mtime = sim_.now();
   return resp;
 }
 
 MetaResponse MetaServer::do_rmdir(const MetaRequest& req) {
   MetaResponse resp;
-  Inode* parent = find_dir(req.parent, resp.status);
+  fs::InodeAttr* parent = find_dir(req.parent, resp.status);
   if (!parent) return resp;
-  if (!fs::permits(parent->attr.mode, parent->attr.uid, parent->attr.gid, req.creds,
-                   fs::Access::write)) {
+  if (!fs::permits(parent->mode, parent->uid, parent->gid, req.creds, fs::Access::write)) {
     resp.status = FsError::permission;
     return resp;
   }
-  auto it = parent->children.find(req.name);
-  if (it == parent->children.end()) {
+  Dirents* entries = dirents_of(req.parent);
+  auto it = entries != nullptr ? entries->find(req.name) : Dirents::iterator{};
+  if (entries == nullptr || it == entries->end()) {
     resp.status = FsError::not_found;
     return resp;
   }
@@ -207,29 +209,32 @@ MetaResponse MetaServer::do_rmdir(const MetaRequest& req) {
     resp.status = FsError::stale;  // child hosted on another shard
     return resp;
   }
-  if (!child->second.attr.is_dir()) {
+  if (!child->second.is_dir()) {
     resp.status = FsError::not_a_directory;
     return resp;
   }
-  if (!child->second.children.empty()) {
+  auto child_entries = dirents_.find(child->first);
+  if (child_entries != dirents_.end() && !child_entries->second.empty()) {
     resp.status = FsError::not_empty;
     return resp;
   }
+  if (child_entries != dirents_.end()) dirents_.erase(child_entries);
   inodes_.erase(child);
-  parent->children.erase(it);
-  parent->attr.mtime = sim_.now();
-  --parent->attr.nlink;
+  entries->erase(it);
+  parent->mtime = sim_.now();
+  --parent->nlink;
   return resp;
 }
 
 MetaResponse MetaServer::do_readdir(const MetaRequest& req) {
   MetaResponse resp;
-  Inode* dir = find_dir(req.ino, resp.status);
-  if (!dir) return resp;
-  resp.entries.reserve(dir->children.size());
-  for (const auto& [name, ino] : dir->children) {
+  if (!find_dir(req.ino, resp.status)) return resp;
+  const Dirents* entries = dirents_of(req.ino);
+  if (entries == nullptr) return resp;
+  resp.entries.reserve(entries->size());
+  for (const auto& [name, ino] : *entries) {
     auto child = inodes_.find(ino);
-    const fs::FileType type = child != inodes_.end() && child->second.attr.is_dir()
+    const fs::FileType type = child != inodes_.end() && child->second.is_dir()
                                   ? fs::FileType::directory
                                   : fs::FileType::file;
     resp.entries.push_back(fs::DirEntry{name, type});
@@ -244,13 +249,13 @@ MetaResponse MetaServer::do_set_size(const MetaRequest& req) {
     resp.status = FsError::not_found;
     return resp;
   }
-  if (it->second.attr.is_dir()) {
+  if (it->second.is_dir()) {
     resp.status = FsError::is_a_directory;
     return resp;
   }
-  it->second.attr.size = std::max(it->second.attr.size, req.size);
-  it->second.attr.mtime = sim_.now();
-  resp.attr = it->second.attr;
+  it->second.size = std::max(it->second.size, req.size);
+  it->second.mtime = sim_.now();
+  resp.attr = it->second;
   return resp;
 }
 

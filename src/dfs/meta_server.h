@@ -10,9 +10,9 @@
 
 #include <cstdint>
 #include <map>
+#include <string>
 #include <memory>
 #include <unordered_map>
-#include <unordered_set>
 #include <variant>
 
 #include "dfs/protocol.h"
@@ -75,10 +75,8 @@ class MetaServer {
   MetaResponse apply(const MetaRequest& req);
 
  private:
-  struct Inode {
-    fs::InodeAttr attr;
-    std::map<std::string, fs::Ino> children;  // directories only
-  };
+  /// A directory's entries, name -> child inode, in readdir order.
+  using Dirents = std::map<std::string, fs::Ino>;
 
   sim::Task<MetaResponse> handle(MetaRequest req);
   sim::Task<> charge_cache(fs::Ino ino);
@@ -91,13 +89,19 @@ class MetaServer {
   MetaResponse do_readdir(const MetaRequest& req);
   MetaResponse do_set_size(const MetaRequest& req);
 
-  Inode* find_dir(fs::Ino ino, fs::FsError& err);
+  fs::InodeAttr* find_dir(fs::Ino ino, fs::FsError& err);
+  /// `dir`'s entry table, or nullptr while it never had an entry.
+  Dirents* dirents_of(fs::Ino dir);
 
   sim::Simulation& sim_;
   net::NodeId node_;
   sim::SimDisk& disk_;
   MetaServerConfig config_;
-  std::unordered_map<fs::Ino, Inode> inodes_;
+  // Every inode is its attributes alone. Entries live in a per-directory
+  // table created with the first entry and erased with the directory, so
+  // files and empty directories carry no child map.
+  std::unordered_map<fs::Ino, fs::InodeAttr> inodes_;
+  std::unordered_map<fs::Ino, Dirents> dirents_;
   fs::Ino next_ino_ = fs::kRootIno + 1;
   std::uint64_t ops_served_ = 0;
 

@@ -29,14 +29,19 @@ std::uint64_t HashRing::point(net::NodeId node, std::uint32_t replica) {
 void HashRing::add_node(net::NodeId node) {
   if (std::find(nodes_.begin(), nodes_.end(), node) != nodes_.end()) return;
   nodes_.push_back(node);
-  for (std::uint32_t r = 0; r < vnodes_; ++r) {
-    const std::uint64_t p = point(node, r);
-    auto it = std::lower_bound(ring_.begin(), ring_.end(), p, point_less);
-    // Keep the first owner on a (vanishingly unlikely) point collision --
-    // same tie-break the former std::map::emplace applied.
-    if (it != ring_.end() && it->first == p) continue;
-    ring_.insert(it, {p, node});
-  }
+  // Append the node's points, sort them and merge them in: one pass over
+  // the ring per node rather than one vector insert per point.
+  const auto mid = static_cast<std::ptrdiff_t>(ring_.size());
+  for (std::uint32_t r = 0; r < vnodes_; ++r) ring_.emplace_back(point(node, r), node);
+  const auto by_point = [](const auto& a, const auto& b) { return a.first < b.first; };
+  std::sort(ring_.begin() + mid, ring_.end(), by_point);
+  // The merge is stable, so on a (vanishingly unlikely) point collision the
+  // earlier owner comes first and unique keeps it -- the tie-break the
+  // former std::map::emplace applied.
+  std::inplace_merge(ring_.begin(), ring_.begin() + mid, ring_.end(), by_point);
+  ring_.erase(std::unique(ring_.begin(), ring_.end(),
+                          [](const auto& a, const auto& b) { return a.first == b.first; }),
+              ring_.end());
 }
 
 void HashRing::remove_node(net::NodeId node) {

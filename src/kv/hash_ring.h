@@ -6,7 +6,8 @@
 // ~1/N of the keyspace.
 //
 // The ring itself is a sorted flat vector: lookups are a cache-friendly
-// binary search (membership changes are rare and pay the insertion cost).
+// binary search (membership changes are rare; adding a node sorts its points
+// and merges them in with one pass over the ring).
 // Callers that already know a key's hash -- fs::Path caches it -- use
 // node_for_hash() and skip rehashing the key entirely.
 #pragma once
@@ -50,9 +51,10 @@ class HashRing {
   /// owner is returned (callers should check live_node_count() first).
   net::NodeId node_for_hash(std::uint64_t hash) const;
 
- private:
+  /// Ring position of `node`'s `replica`-th virtual node.
   static std::uint64_t point(net::NodeId node, std::uint32_t replica);
 
+ private:
   std::uint32_t vnodes_;
   /// (ring point, owner), sorted ascending by point; points are unique.
   std::vector<std::pair<std::uint64_t, net::NodeId>> ring_;

@@ -1,6 +1,8 @@
 #include "kv/memcache.h"
 
 #include <cassert>
+#include <cstring>
+#include <new>
 
 namespace pacon::kv {
 
@@ -28,14 +30,18 @@ KvResponse MemCacheServer::apply(const KvRequest& req) {
   using Op = KvRequest::Op;
   switch (req.op) {
     case Op::get: {
-      auto it = find_item(req);
+      auto it = items_.find(probe(req));
       if (it == items_.end()) {
         misses_.add();
         return KvResponse{KvStatus::not_found, {}, 0, 0};
       }
       hits_.add();
-      touch_lru(it->second);
-      return KvResponse{KvStatus::ok, it->second.value, it->second.cas, it->second.flags};
+      Item* item = it->item.get();
+      if (config_.lru_eviction) {
+        lru_unlink(item);
+        lru_push_front(item);
+      }
+      return KvResponse{KvStatus::ok, std::string(item->value()), item->cas, item->flags};
     }
     case Op::set:
       return store(req, /*must_exist=*/false, /*must_not_exist=*/false, /*check_cas=*/false);
@@ -46,7 +52,7 @@ KvResponse MemCacheServer::apply(const KvRequest& req) {
     case Op::cas:
       return store(req, /*must_exist=*/true, /*must_not_exist=*/false, /*check_cas=*/true);
     case Op::del: {
-      auto it = find_item(req);
+      auto it = items_.find(probe(req));
       if (it == items_.end()) return KvResponse{KvStatus::not_found, {}, 0, 0};
       erase_item(it);
       return KvResponse{KvStatus::ok, {}, 0, 0};
@@ -57,15 +63,17 @@ KvResponse MemCacheServer::apply(const KvRequest& req) {
 
 KvResponse MemCacheServer::store(const KvRequest& req, bool must_exist, bool must_not_exist,
                                  bool check_cas) {
-  auto it = find_item(req);
+  const PrehashedKey key = probe(req);
+  auto it = items_.find(key);
   if (must_exist && it == items_.end()) return KvResponse{KvStatus::not_found, {}, 0, 0};
   if (must_not_exist && it != items_.end()) return KvResponse{KvStatus::exists, {}, 0, 0};
-  if (check_cas && it->second.cas != req.cas) {
-    return KvResponse{KvStatus::cas_mismatch, {}, it->second.cas, it->second.flags};
+  if (check_cas && it->item->cas != req.cas) {
+    return KvResponse{KvStatus::cas_mismatch, {}, it->item->cas, it->item->flags};
   }
 
-  const std::uint64_t new_size = item_footprint(req.key, req.value);
-  const std::uint64_t old_size = it == items_.end() ? 0 : item_footprint(req.key, it->second.value);
+  const std::uint64_t new_size = item_footprint(req.key.size(), req.value.size());
+  const std::uint64_t old_size =
+      it == items_.end() ? 0 : item_footprint(it->item->key_len, it->item->value_len);
   // Refuse before destroying the old value if eviction cannot make room.
   if (bytes_used_ - old_size + new_size > config_.capacity_bytes && !config_.lru_eviction) {
     return KvResponse{KvStatus::no_space, {}, 0, 0};
@@ -78,45 +86,68 @@ KvResponse MemCacheServer::store(const KvRequest& req, bool must_exist, bool mus
   }
 
   bytes_used_ += new_size;
-  it = items_.emplace(req.key, Item{req.value, next_cas_++, req.flags, {}}).first;
-  if (config_.lru_eviction) {
-    lru_.push_front(&it->first);
-    it->second.lru_pos = lru_.begin();
-  }
+  Item* item = items_.insert(Slot{key.hash, make_item(req, next_cas_++)}).first->item.get();
+  if (config_.lru_eviction) lru_push_front(item);
   stores_.add();
-  return KvResponse{KvStatus::ok, {}, it->second.cas, it->second.flags};
+  return KvResponse{KvStatus::ok, {}, item->cas, item->flags};
 }
 
-void MemCacheServer::touch_lru(Item& item) {
-  if (config_.lru_eviction) lru_.splice(lru_.begin(), lru_, item.lru_pos);
+MemCacheServer::ItemPtr MemCacheServer::make_item(const KvRequest& req, std::uint64_t cas) const {
+  const std::size_t bytes = config_.lru_eviction
+                                ? links_offset(req.key.size(), req.value.size()) + sizeof(LruLinks)
+                                : sizeof(Item) + req.key.size() + req.value.size();
+  ItemPtr item(new (::operator new(bytes))
+                   Item{.cas = cas,
+                        .flags = req.flags,
+                        .key_len = static_cast<std::uint32_t>(req.key.size()),
+                        .value_len = static_cast<std::uint32_t>(req.value.size())});
+  char* out = reinterpret_cast<char*>(item.get() + 1);
+  std::memcpy(out, req.key.data(), req.key.size());
+  std::memcpy(out + req.key.size(), req.value.data(), req.value.size());
+  return item;
+}
+
+void MemCacheServer::lru_push_front(Item* item) {
+  links(item) = LruLinks{.prev = nullptr, .next = lru_head_};
+  (lru_head_ != nullptr ? links(lru_head_).prev : lru_tail_) = item;
+  lru_head_ = item;
+}
+
+void MemCacheServer::lru_unlink(Item* item) {
+  const LruLinks& l = links(item);
+  (l.prev != nullptr ? links(l.prev).next : lru_head_) = l.next;
+  (l.next != nullptr ? links(l.next).prev : lru_tail_) = l.prev;
 }
 
 bool MemCacheServer::make_room(std::uint64_t need) {
   if (!config_.lru_eviction) return false;
-  while (bytes_used_ + need > config_.capacity_bytes && !lru_.empty()) {
-    erase_item(items_.find(*lru_.back()));
+  while (bytes_used_ + need > config_.capacity_bytes && lru_tail_ != nullptr) {
+    const std::string_view victim = lru_tail_->key();
+    erase_item(items_.find(PrehashedKey{victim, sim::Rng::hash(victim)}));
     ++evictions_;
   }
   return bytes_used_ + need <= config_.capacity_bytes;
 }
 
-void MemCacheServer::erase_item(ItemMap::iterator it) {
-  bytes_used_ -= item_footprint(it->first, it->second.value);
-  if (config_.lru_eviction) lru_.erase(it->second.lru_pos);
+void MemCacheServer::erase_item(ItemTable::iterator it) {
+  Item* item = it->item.get();
+  bytes_used_ -= item_footprint(item->key_len, item->value_len);
+  if (config_.lru_eviction) lru_unlink(item);
   items_.erase(it);
 }
 
 std::vector<std::string> MemCacheServer::keys_with_prefix(const std::string& prefix) const {
   std::vector<std::string> out;
-  for (const auto& [key, item] : items_) {
-    if (key.starts_with(prefix)) out.push_back(key);
+  for (const Slot& slot : items_) {
+    if (slot.item->key().starts_with(prefix)) out.emplace_back(slot.item->key());
   }
   return out;
 }
 
 void MemCacheServer::flush() {
   items_.clear();
-  lru_.clear();
+  lru_head_ = nullptr;
+  lru_tail_ = nullptr;
   bytes_used_ = 0;
 }
 

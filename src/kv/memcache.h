@@ -11,11 +11,11 @@
 #pragma once
 
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
+#include <string_view>
+#include <unordered_set>
 #include <vector>
 
 #include "kv/hash_ring.h"
@@ -73,31 +73,11 @@ struct KvRequest {
   std::uint64_t key_hash = 0;
 };
 
-/// Heterogeneous lookup key carrying an already-computed hash.
+/// Item-table probe: a key and its sim::Rng::hash, computed once per
+/// request (or carried in from the caller's fs::Path).
 struct PrehashedKey {
   std::string_view key;
   std::uint64_t hash;  // == sim::Rng::hash(key)
-};
-
-/// Transparent hasher/equality for the item table: plain strings hash with
-/// sim::Rng::hash (the cluster-wide key hash), PrehashedKey skips the work.
-struct KvKeyHash {
-  using is_transparent = void;
-  std::size_t operator()(const std::string& s) const noexcept {
-    return static_cast<std::size_t>(sim::Rng::hash(s));
-  }
-  std::size_t operator()(std::string_view s) const noexcept {
-    return static_cast<std::size_t>(sim::Rng::hash(s));
-  }
-  std::size_t operator()(const PrehashedKey& k) const noexcept {
-    return static_cast<std::size_t>(k.hash);
-  }
-};
-struct KvKeyEq {
-  using is_transparent = void;
-  bool operator()(std::string_view a, std::string_view b) const noexcept { return a == b; }
-  bool operator()(const PrehashedKey& a, std::string_view b) const noexcept { return a.key == b; }
-  bool operator()(std::string_view a, const PrehashedKey& b) const noexcept { return a == b.key; }
 };
 
 struct KvResponse {
@@ -142,27 +122,78 @@ class MemCacheServer {
   void flush();
 
  private:
+  /// One cached item in a single allocation, laid out like a memcached slab
+  /// item: this header, then the key bytes, then the value bytes and, when
+  /// lru_eviction is on, the item's LRU links (8-byte aligned). A region's
+  /// cache runs without LRU, so its items carry no links at all.
   struct Item {
-    std::string value;
-    std::uint64_t cas = 0;
-    std::uint32_t flags = 0;
-    /// Position in lru_; meaningful only when config_.lru_eviction is on.
-    std::list<const std::string*>::iterator lru_pos;
+    std::uint64_t cas;
+    std::uint32_t flags;
+    std::uint32_t key_len;
+    std::uint32_t value_len;
+
+    const char* bytes() const { return reinterpret_cast<const char*>(this + 1); }
+    std::string_view key() const { return {bytes(), key_len}; }
+    std::string_view value() const { return {bytes() + key_len, value_len}; }
   };
+  /// Recency neighbours, front = most recent.
+  struct LruLinks {
+    Item* prev;
+    Item* next;
+  };
+  struct ItemFree {
+    void operator()(Item* item) const noexcept { ::operator delete(item); }
+  };
+  using ItemPtr = std::unique_ptr<Item, ItemFree>;
 
-  using ItemMap = std::unordered_map<std::string, Item, KvKeyHash, KvKeyEq>;
+  /// Item-table element: the owning pointer plus the key's hash. Keeping
+  /// the hash in the element means rehashes and bucket walks never re-hash
+  /// a key, and a probe compares hashes before it touches an item.
+  struct Slot {
+    std::uint64_t hash;
+    ItemPtr item;
+  };
+  struct SlotHash {
+    using is_transparent = void;
+    std::size_t operator()(const Slot& s) const noexcept {
+      return static_cast<std::size_t>(s.hash);
+    }
+    std::size_t operator()(const PrehashedKey& k) const noexcept {
+      return static_cast<std::size_t>(k.hash);
+    }
+  };
+  struct SlotEq {
+    using is_transparent = void;
+    bool operator()(const Slot& a, const Slot& b) const noexcept {
+      return a.hash == b.hash && a.item->key() == b.item->key();
+    }
+    bool operator()(const PrehashedKey& k, const Slot& s) const noexcept {
+      return k.hash == s.hash && k.key == s.item->key();
+    }
+    bool operator()(const Slot& s, const PrehashedKey& k) const noexcept { return (*this)(k, s); }
+  };
+  using ItemTable = std::unordered_set<Slot, SlotHash, SlotEq>;
 
-  std::uint64_t item_footprint(const std::string& key, const std::string& value) const {
-    return key.size() + value.size() + config_.item_overhead_bytes;
+  std::uint64_t item_footprint(std::size_t key_len, std::size_t value_len) const {
+    return key_len + value_len + config_.item_overhead_bytes;
   }
   /// Table lookup using the request's pre-computed hash when present.
-  ItemMap::iterator find_item(const KvRequest& req) {
-    if (req.key_hash != 0) return items_.find(PrehashedKey{req.key, req.key_hash});
-    return items_.find(req.key);
+  static PrehashedKey probe(const KvRequest& req) {
+    return {req.key, req.key_hash != 0 ? req.key_hash : sim::Rng::hash(req.key)};
   }
-  void touch_lru(Item& item);
+  static std::size_t links_offset(std::size_t key_len, std::size_t value_len) {
+    return (sizeof(Item) + key_len + value_len + alignof(LruLinks) - 1) &
+           ~(alignof(LruLinks) - 1);
+  }
+  static LruLinks& links(Item* item) {
+    return *reinterpret_cast<LruLinks*>(reinterpret_cast<char*>(item) +
+                                        links_offset(item->key_len, item->value_len));
+  }
+  ItemPtr make_item(const KvRequest& req, std::uint64_t cas) const;
+  void lru_push_front(Item* item);
+  void lru_unlink(Item* item);
   bool make_room(std::uint64_t need);
-  void erase_item(ItemMap::iterator it);
+  void erase_item(ItemTable::iterator it);
   KvResponse store(const KvRequest& req, bool must_exist, bool must_not_exist,
                    bool check_cas);
 
@@ -171,12 +202,12 @@ class MemCacheServer {
   KvConfig config_;
   // Grows with its contents: the servers run on the application's compute
   // nodes, so an idle server should not hold a pre-sized bucket array.
-  ItemMap items_;
-  // Recency order, front = most recent; kept only when lru_eviction is on.
-  // Entries point at the keys inside items_'s nodes, which stay put across
-  // rehashes, so the list costs no key copy and a get moves its entry with a
-  // splice rather than an allocation.
-  std::list<const std::string*> lru_;
+  ItemTable items_;
+  // Intrusive recency list through the items' links; kept only when
+  // lru_eviction is on. A get or a store relinks an item without touching
+  // the heap.
+  Item* lru_head_ = nullptr;
+  Item* lru_tail_ = nullptr;
   std::uint64_t bytes_used_ = 0;
   std::uint64_t next_cas_ = 1;
   std::uint64_t evictions_ = 0;

@@ -97,6 +97,52 @@ TEST(DfsMeta, RmdirRequiresEmpty) {
   }(f.client));
 }
 
+// A directory's entry table exists only once it had a child: a directory
+// that never had one still lists empty, fails lookups with not_found, and a
+// directory whose last child went away can be removed.
+TEST(DfsMeta, DirectoryWithoutEntriesListsEmptyAndRemoves) {
+  Fixture f;
+  MetaServer& mds = f.cluster.mds();
+  const auto run = [&mds](MetaOp op, fs::Ino parent, std::string name,
+                          fs::FileType type = fs::FileType::file) {
+    MetaRequest req;
+    req.op = op;
+    req.parent = parent;
+    req.ino = parent;
+    req.name = std::move(name);
+    req.type = type;
+    req.mode = type == fs::FileType::directory ? fs::FileMode::dir_default()
+                                               : fs::FileMode::file_default();
+    return mds.apply(req);
+  };
+  const std::size_t inodes_before = mds.inode_count();
+  const MetaResponse empty = run(MetaOp::create, fs::kRootIno, "empty", fs::FileType::directory);
+  ASSERT_EQ(empty.status, FsError::ok);
+  const MetaResponse listed = run(MetaOp::readdir, empty.attr.ino, "");
+  EXPECT_EQ(listed.status, FsError::ok);
+  EXPECT_TRUE(listed.entries.empty());
+  EXPECT_EQ(run(MetaOp::lookup, empty.attr.ino, "x").status, FsError::not_found);
+  EXPECT_EQ(run(MetaOp::unlink, empty.attr.ino, "x").status, FsError::not_found);
+  EXPECT_EQ(run(MetaOp::rmdir, fs::kRootIno, "empty").status, FsError::ok);
+  EXPECT_EQ(run(MetaOp::readdir, empty.attr.ino, "").status, FsError::not_found);
+
+  const MetaResponse dir = run(MetaOp::create, fs::kRootIno, "d", fs::FileType::directory);
+  ASSERT_EQ(dir.status, FsError::ok);
+  ASSERT_EQ(run(MetaOp::create, dir.attr.ino, "f").status, FsError::ok);
+  EXPECT_EQ(run(MetaOp::readdir, dir.attr.ino, "").entries.size(), 1u);
+  EXPECT_EQ(run(MetaOp::rmdir, fs::kRootIno, "d").status, FsError::not_empty);
+  ASSERT_EQ(run(MetaOp::unlink, dir.attr.ino, "f").status, FsError::ok);
+  EXPECT_TRUE(run(MetaOp::readdir, dir.attr.ino, "").entries.empty());
+  EXPECT_EQ(run(MetaOp::lookup, dir.attr.ino, "f").status, FsError::not_found);
+  EXPECT_EQ(run(MetaOp::rmdir, fs::kRootIno, "d").status, FsError::ok);
+  EXPECT_EQ(run(MetaOp::getattr, dir.attr.ino, "").status, FsError::not_found);
+  EXPECT_EQ(mds.inode_count(), inodes_before);
+  // A recreated directory starts with no entries of its own.
+  const MetaResponse again = run(MetaOp::create, fs::kRootIno, "d", fs::FileType::directory);
+  ASSERT_EQ(again.status, FsError::ok);
+  EXPECT_TRUE(run(MetaOp::readdir, again.attr.ino, "").entries.empty());
+}
+
 TEST(DfsMeta, ReaddirListsChildrenSorted) {
   Fixture f;
   sim::run_task(f.sim, [](DfsClient& c) -> Task<> {

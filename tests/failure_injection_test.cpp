@@ -304,6 +304,93 @@ TEST(Failure, CommitCrashRedeliversEveryOpExactlyOnce) {
   EXPECT_EQ(c->region().committed_ops(), 31u);
 }
 
+// Ops published while the commit process is down reach the committer twice:
+// once from the WAL replay at restart, and once more from the queue the
+// sorter kept filling. Here the second copies arrive while an older record
+// -- a data write waiting for its file's create, which node 1 cannot commit
+// while its link to the MDS is down -- keeps the log from compacting, so
+// each finds its record acked: an acked duplicate, never applied again.
+TEST(Failure, OpsPublishedWhileCommitProcessIsDownCountAsDuplicates) {
+  World w;
+  auto c0 = w.make_client(0);
+  auto c1 = w.make_client(1);
+  sim::run_task(w.sim, [](World& world, Pacon& p0, Pacon& p1) -> Task<> {
+    EXPECT_TRUE((co_await p0.create(Path::parse("/app/warm"),
+                                    fs::FileMode::file_default())).has_value());
+    co_await p0.drain();
+    const std::uint32_t mds = world.dfs.config().mds_node.value;
+    world.link_faults().set_partition({1}, {mds}, true);
+    EXPECT_TRUE((co_await p1.create(Path::parse("/app/w"),
+                                    fs::FileMode::file_default())).has_value());
+    EXPECT_TRUE((co_await p0.write(Path::parse("/app/w"), 0, 100)).has_value());
+    co_await world.sim.delay(300_us);
+    p0.region().crash_commit_process(net::NodeId{0});
+    for (int i = 0; i < 12; ++i) {
+      EXPECT_TRUE((co_await p0.create(Path::parse("/app/b" + std::to_string(i)),
+                                      fs::FileMode::file_default())).has_value());
+    }
+    co_await world.sim.delay(500_us);
+    p0.region().restart_commit_process(net::NodeId{0});
+    co_await world.sim.delay(5'000_us);
+    world.link_faults().set_partition({1}, {mds}, false);
+    co_await p0.drain();
+    EXPECT_EQ(p0.region().pending_commits(), 0u);
+    dfs::DfsClient probe(world.sim, world.dfs, net::NodeId{90'001});
+    auto listing = co_await probe.readdir(Path::parse("/app"));
+    EXPECT_TRUE(listing.has_value());
+    if (listing) {
+      EXPECT_EQ(listing->size(), 14u);  // warm + w + b0..b11
+    }
+  }(w, *c0, *c1));
+  EXPECT_EQ(c0->region().commit_crashes(), 1u);
+  // The replay carries the data write and b0..b11; the queue's copies of
+  // b0..b11 are the duplicates.
+  EXPECT_EQ(c0->region().redelivered_ops(), 13u);
+  EXPECT_EQ(c0->region().duplicate_deliveries(), 12u);
+  // warm, w, its data write and b0..b11, each applied once.
+  EXPECT_EQ(c0->region().committed_ops(), 15u);
+}
+
+// As above, but nothing holds the log back: the replay acks every record
+// and compaction drops them before the queued second copies reach the
+// committer. A compacted record is an acked duplicate too, so the DFS sees
+// each op once and the commit accounting stays exact however long the
+// region keeps running.
+TEST(Failure, CompactedRecordsRedeliveredFromTheQueueAreDuplicates) {
+  World w;
+  auto c = w.make_client(0);
+  sim::run_task(w.sim, [](World& world, Pacon& p) -> Task<> {
+    EXPECT_TRUE((co_await p.create(Path::parse("/app/warm"),
+                                   fs::FileMode::file_default())).has_value());
+    co_await p.drain();
+    for (int i = 0; i < 8; ++i) {
+      EXPECT_TRUE((co_await p.create(Path::parse("/app/a" + std::to_string(i)),
+                                     fs::FileMode::file_default())).has_value());
+    }
+    p.region().crash_commit_process(net::NodeId{0});
+    for (int i = 0; i < 12; ++i) {
+      EXPECT_TRUE((co_await p.create(Path::parse("/app/b" + std::to_string(i)),
+                                     fs::FileMode::file_default())).has_value());
+    }
+    co_await world.sim.delay(500_us);
+    p.region().restart_commit_process(net::NodeId{0});
+    co_await p.drain();
+    // Let the committer work through everything still queued.
+    co_await world.sim.delay(20'000_us);
+    EXPECT_EQ(p.region().pending_commits(), 0u);
+    dfs::DfsClient probe(world.sim, world.dfs, net::NodeId{90'001});
+    auto listing = co_await probe.readdir(Path::parse("/app"));
+    EXPECT_TRUE(listing.has_value());
+    if (listing) {
+      EXPECT_EQ(listing->size(), 21u);  // warm + a0..a7 + b0..b11
+    }
+  }(w, *c));
+  EXPECT_EQ(c->region().commit_crashes(), 1u);
+  EXPECT_EQ(c->region().redelivered_ops(), 18u);
+  EXPECT_EQ(c->region().duplicate_deliveries(), 13u);
+  EXPECT_EQ(c->region().committed_ops(), 21u);
+}
+
 // A cache node that flaps (down, then back) must rejoin cold: the entry it
 // held from before the outage was superseded on the failover successor and
 // must not resurrect.

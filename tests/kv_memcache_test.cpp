@@ -2,7 +2,9 @@
 // CAS), memory accounting, LRU eviction, and cluster routing over the ring.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
+#include <vector>
 #include <string>
 
 #include "kv/memcache.h"
@@ -217,6 +219,65 @@ TEST(MemCacheServer, TableGrowsPastInitialSizeWithLookupsAndLruIntact) {
   EXPECT_EQ(server.apply(make(KvRequest::Op::get, key(2))).status, KvStatus::ok);
 }
 
+// The memcached defaults (LRU eviction on, a 56-byte item header), as kvload
+// and fig10 run them: items of mixed sizes are charged key + value + 56
+// bytes, leave in least-recently-used order, and flush() drops them all.
+TEST(MemCacheServer, DefaultLruServerAccountsAndEvictsInRecencyOrder) {
+  Fixture f;
+  KvConfig cfg;
+  ASSERT_TRUE(cfg.lru_eviction);
+  ASSERT_EQ(cfg.item_overhead_bytes, 56u);
+  const auto key = [](int i) { return "/app/d" + std::to_string(i % 3) + "/f" + std::to_string(i); };
+  const auto value = [](int i) { return std::string(static_cast<std::size_t>(8 + 13 * i), 'v'); };
+  std::uint64_t all_bytes = 0;
+  for (int i = 0; i < 8; ++i) all_bytes += key(i).size() + value(i).size() + 56;
+  // Room for everything but the first two items written.
+  cfg.capacity_bytes = all_bytes - 1;
+  MemCacheServer server(f.sim, f.fabric, NodeId{0}, cfg);
+
+  std::uint64_t expected = 0;
+  for (int i = 0; i < 7; ++i) {
+    ASSERT_EQ(server.apply(make(KvRequest::Op::set, key(i), value(i), 0, i)).status,
+              KvStatus::ok);
+    expected += key(i).size() + value(i).size() + 56;
+    EXPECT_EQ(server.bytes_used(), expected) << i;
+  }
+  // Recency now runs 1, 2, 3, 4, 5, 6, 0 from coldest to hottest.
+  ASSERT_EQ(server.apply(make(KvRequest::Op::get, key(0))).value, value(0));
+  ASSERT_EQ(server.apply(make(KvRequest::Op::set, key(7), value(7), 0, 7)).status, KvStatus::ok);
+  EXPECT_EQ(server.evictions(), 1u);
+  EXPECT_EQ(server.apply(make(KvRequest::Op::get, key(1))).status, KvStatus::not_found);
+  expected += key(7).size() + value(7).size() + 56 - key(1).size() - value(1).size() - 56;
+  EXPECT_EQ(server.bytes_used(), expected);
+
+  // A value that needs two victims' room takes the two coldest: 2 and 3.
+  const std::string big(value(2).size() + value(3).size() + 80, 'b');
+  ASSERT_EQ(server.apply(make(KvRequest::Op::set, "/app/big", big)).status, KvStatus::ok);
+  EXPECT_EQ(server.evictions(), 3u);
+  EXPECT_EQ(server.apply(make(KvRequest::Op::get, key(2))).status, KvStatus::not_found);
+  EXPECT_EQ(server.apply(make(KvRequest::Op::get, key(3))).status, KvStatus::not_found);
+  expected += std::string("/app/big").size() + big.size() + 56;
+  expected -= key(2).size() + value(2).size() + 56 + key(3).size() + value(3).size() + 56;
+  EXPECT_EQ(server.bytes_used(), expected);
+  for (int i : {0, 4, 5, 6, 7}) {
+    const KvResponse got = server.apply(make(KvRequest::Op::get, key(i)));
+    EXPECT_EQ(got.value, value(i)) << i;
+    EXPECT_EQ(got.flags, static_cast<std::uint32_t>(i)) << i;
+  }
+  EXPECT_EQ(server.item_count(), 6u);
+
+  server.flush();
+  EXPECT_EQ(server.item_count(), 0u);
+  EXPECT_EQ(server.bytes_used(), 0u);
+  EXPECT_TRUE(server.keys_with_prefix("/").empty());
+  EXPECT_EQ(server.apply(make(KvRequest::Op::get, key(0))).status, KvStatus::not_found);
+  // The flushed server fills and evicts like a fresh one.
+  for (int i = 0; i < 8; ++i) server.apply(make(KvRequest::Op::set, key(i), value(i)));
+  EXPECT_EQ(server.evictions(), 4u);
+  EXPECT_EQ(server.apply(make(KvRequest::Op::get, key(0))).status, KvStatus::not_found);
+  EXPECT_EQ(server.apply(make(KvRequest::Op::get, key(1))).status, KvStatus::ok);
+}
+
 TEST(MemCacheServer, NoSpaceWhenEvictionDisabled) {
   Fixture f;
   KvConfig cfg;
@@ -312,6 +373,48 @@ TEST(HashRing, LookupIsStable) {
     const std::string key = "/stable" + std::to_string(i);
     EXPECT_EQ(a.node_for(key), b.node_for(key));
   }
+}
+
+// add_node merges a node's points in one pass; the owners it produces must
+// match a ring built point by point (first owner of a point wins), across a
+// 64-node deploy, a removal and a re-add.
+TEST(HashRing, MergedRingMatchesPointByPointRing) {
+  constexpr std::uint32_t kVnodes = 64;
+  std::map<std::uint64_t, NodeId> reference;
+  const auto reference_add = [&](NodeId node) {
+    for (std::uint32_t r = 0; r < kVnodes; ++r) reference.emplace(HashRing::point(node, r), node);
+  };
+  const auto reference_owner = [&](std::uint64_t hash) {
+    auto it = reference.lower_bound(hash);
+    return (it == reference.end() ? reference.begin() : it)->second;
+  };
+  HashRing ring(kVnodes);
+  for (std::uint32_t n = 0; n < 64; ++n) {
+    ring.add_node(NodeId{n});
+    reference_add(NodeId{n});
+  }
+  sim::Rng rng(7);
+  std::vector<std::uint64_t> hashes(100'000);
+  for (std::uint64_t& h : hashes) h = rng.next_u64();
+  hashes.push_back(0);
+  hashes.push_back(~std::uint64_t{0});
+  hashes.push_back(reference.begin()->first);
+  hashes.push_back(reference.rbegin()->first);
+  const auto mismatches = [&] {
+    std::size_t bad = 0;
+    for (const std::uint64_t h : hashes) bad += ring.node_for_hash(h) != reference_owner(h);
+    return bad;
+  };
+  EXPECT_EQ(mismatches(), 0u);
+
+  ring.remove_node(NodeId{17});
+  std::erase_if(reference, [](const auto& e) { return e.second == NodeId{17}; });
+  EXPECT_EQ(mismatches(), 0u);
+
+  ring.add_node(NodeId{17});
+  reference_add(NodeId{17});
+  EXPECT_EQ(mismatches(), 0u);
+  EXPECT_EQ(ring.node_count(), 64u);
 }
 
 TEST(MemCacheCluster, RoutesByKeyAndServesAllOps) {
