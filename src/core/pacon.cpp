@@ -97,8 +97,8 @@ sim::Task<FsResult<void>> Pacon::mkdir(const fs::Path& path, fs::FileMode mode) 
           parent_hints_.find(path.parent_hash(), rt_.sim.now()) != nullptr;
       auto r = co_await region->mkdir(node_, client_id_, path, mode, parent_known, op.id());
       if (r) {
-        parent_hints_.insert(path.hash(), 1, rt_.sim.now());
-        parent_hints_.insert(path.parent_hash(), 1, rt_.sim.now());
+        parent_hints_.insert(path.hash(), {}, rt_.sim.now());
+        parent_hints_.insert(path.parent_hash(), {}, rt_.sim.now());
       }
       op.finish(r ? "ok" : "error");
       co_return r;
@@ -124,7 +124,7 @@ sim::Task<FsResult<void>> Pacon::create(const fs::Path& path, fs::FileMode mode)
       const bool parent_known =
           parent_hints_.find(path.parent_hash(), rt_.sim.now()) != nullptr;
       auto r = co_await region->create(node_, client_id_, path, mode, parent_known, op.id());
-      if (r) parent_hints_.insert(path.parent_hash(), 1, rt_.sim.now());
+      if (r) parent_hints_.insert(path.parent_hash(), {}, rt_.sim.now());
       op.finish(r ? "ok" : "error");
       co_return r;
     }

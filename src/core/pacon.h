@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <variant>
 #include <vector>
 
 #include "core/region.h"
@@ -141,7 +142,7 @@ class Pacon {
   // the hash key skips the per-op string copy/compare. A hash collision
   // (~2^-64 per resident pair) yields a wrong hint, which callers already
   // tolerate as a stale one.
-  fs::LruTtlCache<std::uint64_t, char> parent_hints_;
+  fs::LruTtlCache<std::uint64_t, std::monostate> parent_hints_;
   std::uint64_t hints_valid_at_ = 0;  // region invalidation counter snapshot
 };
 

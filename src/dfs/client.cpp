@@ -51,8 +51,8 @@ sim::Task<FsResult<fs::InodeAttr>> DfsClient::resolve(const fs::Path& path, bool
     fs::Path probe = fresh_leaf ? path.parent() : path;
     std::size_t remaining = fresh_leaf ? comps.size() - 1 : comps.size();
     while (!probe.is_root()) {
-      if (const fs::InodeAttr* hit = dentries_.find(probe, sim_.now())) {
-        current = *hit;
+      if (const Dentry* hit = dentries_.find(probe, sim_.now())) {
+        current = fs::InodeAttr{.ino = hit->ino, .type = hit->type};
         start = remaining;
         break;
       }
@@ -74,7 +74,7 @@ sim::Task<FsResult<fs::InodeAttr>> DfsClient::resolve(const fs::Path& path, bool
     if (resp.status != FsError::ok) co_return fs::fail(resp.status);
     current = resp.attr;
     walked = walked.child(comps[i]);
-    dentries_.insert(walked, current, sim_.now());
+    dentries_.insert(walked, dentry_of(current), sim_.now());
   }
   co_return current;
 }
@@ -102,7 +102,7 @@ sim::Task<FsResult<fs::InodeAttr>> DfsClient::mkdir(const fs::Path& path, fs::Fi
   req.creds = config_.creds;
   const MetaResponse resp = co_await meta_call(std::move(req), op.id());
   if (resp.status != FsError::ok) co_return fs::fail(resp.status);
-  dentries_.insert(path, resp.attr, sim_.now());
+  dentries_.insert(path, dentry_of(resp.attr), sim_.now());
   op.finish("ok");
   co_return resp.attr;
 }
@@ -122,7 +122,7 @@ sim::Task<FsResult<fs::InodeAttr>> DfsClient::create(const fs::Path& path, fs::F
   req.creds = config_.creds;
   const MetaResponse resp = co_await meta_call(std::move(req), op.id());
   if (resp.status != FsError::ok) co_return fs::fail(resp.status);
-  dentries_.insert(path, resp.attr, sim_.now());
+  dentries_.insert(path, dentry_of(resp.attr), sim_.now());
   op.finish("ok");
   co_return resp.attr;
 }
@@ -220,7 +220,7 @@ sim::Task<FsResult<std::uint64_t>> DfsClient::write(const fs::Path& path, std::u
   size_req.creds = config_.creds;
   const MetaResponse size_resp = co_await meta_call(std::move(size_req), op.id());
   if (size_resp.status != FsError::ok) co_return fs::fail(size_resp.status);
-  dentries_.insert(path, size_resp.attr, sim_.now());
+  dentries_.insert(path, dentry_of(size_resp.attr), sim_.now());
   op.finish("ok");
   co_return written;
 }

@@ -76,7 +76,16 @@ class DfsClient {
   std::uint64_t dentry_hits() const { return dentries_.hits(); }
 
  private:
+  /// What the dentry cache keeps of a resolved component: all that path
+  /// walking and the data ops read from it.
+  struct Dentry {
+    fs::Ino ino = fs::kInvalidIno;
+    fs::FileType type = fs::FileType::file;
+  };
+  static Dentry dentry_of(const fs::InodeAttr& attr) { return {attr.ino, attr.type}; }
+
   /// Resolves `path` to its attributes via cached prefixes + lookup RPCs.
+  /// A leaf served from the cache carries only its ino and type.
   /// `fresh_leaf` forces the final component over the wire even when cached:
   /// stat must return current attributes, so only intermediate directories
   /// benefit from the dentry cache (matching the real client).
@@ -97,7 +106,7 @@ class DfsClient {
   net::NodeId node_;
   DfsClientConfig config_;
 
-  fs::PathCache<fs::InodeAttr> dentries_;
+  fs::PathCache<Dentry> dentries_;
   std::uint64_t lookup_rpcs_ = 0;
   std::uint64_t meta_rpcs_ = 0;
   std::uint64_t data_rpcs_ = 0;

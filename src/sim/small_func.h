@@ -19,9 +19,10 @@ namespace pacon::sim {
 
 class SmallFunc {
  public:
-  /// Inline capture capacity. 112 bytes holds a shared_ptr target plus a
-  /// moved OpMessage (string + ids) without touching the allocator.
-  static constexpr std::size_t kInlineBytes = 112;
+  /// Inline capture capacity. 128 bytes holds a pub/sub delivery -- a
+  /// 16-byte shared_ptr to the subscription plus a moved 112-byte OpMessage
+  /// -- without touching the allocator.
+  static constexpr std::size_t kInlineBytes = 128;
 
   SmallFunc() = default;
 

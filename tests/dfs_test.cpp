@@ -3,6 +3,8 @@
 // and the path-traversal cost behaviour the paper measures.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -234,6 +236,73 @@ TEST(DfsClient, TtlExpiryForcesRevalidation) {
     (void)co_await c.getattr(Path::parse("/dir"));
     EXPECT_GT(c.lookup_rpcs(), rpcs_before);
   }(f.sim, f.client));
+}
+
+// Pins the client's observable behaviour across every operation: the RPC
+// counts, the dentry-cache hits and the returned values after each step.
+// The cache keeps only {ino, type} of a component, so a cached leaf must
+// serve write/read/fsync exactly as a full cached attribute record did.
+TEST(DfsClient, DentryCacheScriptedSequenceIsPinned) {
+  // The MDS numbers inodes from its node id up; the file is the next one.
+  static constexpr fs::Ino kDirIno = 109'952'262'289'227'777ull;
+  // {lookup_rpcs, meta_rpcs, data_rpcs, dentry_hits} after each step.
+  using Counts = std::array<std::uint64_t, 4>;
+  DfsClientConfig cfg;
+  cfg.dentry_ttl = 1_s;
+  Fixture f({}, cfg);
+  std::vector<Counts> counts;
+  sim::run_task(f.sim, [](Simulation& s, DfsClient& c, std::vector<Counts>& out) -> Task<> {
+    const auto step = [&] {
+      out.push_back({c.lookup_rpcs(), c.meta_rpcs(), c.data_rpcs(), c.dentry_hits()});
+    };
+    const Path a = Path::parse("/a");
+    const Path file = Path::parse("/a/f");
+    auto dir = co_await c.mkdir(a, fs::FileMode::dir_default());
+    EXPECT_TRUE(dir && dir->is_dir());
+    EXPECT_EQ(dir ? dir->ino : 0, kDirIno);
+    step();
+    auto made = co_await c.create(file, fs::FileMode::file_default());
+    EXPECT_TRUE(made && !made->is_dir() && made->size == 0u);
+    EXPECT_EQ(made ? made->ino : 0, kDirIno + 1);
+    step();
+    auto written = co_await c.write(file, 0, 1 << 20);
+    EXPECT_EQ(written.value_or(0), 1u << 20);
+    step();
+    auto read = co_await c.read(file, 4096, 8192);
+    EXPECT_EQ(read.value_or(0), 8192u);
+    step();
+    EXPECT_TRUE((co_await c.fsync(file)).has_value());
+    step();
+    auto attr = co_await c.getattr(file);
+    EXPECT_TRUE(attr && attr->size == 1u << 20 && attr->mode == fs::FileMode::file_default());
+    EXPECT_EQ(attr ? attr->ino : 0, kDirIno + 1);
+    step();
+    auto listing = co_await c.readdir(a);
+    EXPECT_TRUE((listing && *listing == std::vector<fs::DirEntry>{{"f", fs::FileType::file}}));
+    step();
+    co_await s.delay(2_s);  // the cached /a and /a/f expire
+    auto again = co_await c.write(file, 1 << 20, 4096);
+    EXPECT_EQ(again.value_or(0), 4096u);
+    step();
+    EXPECT_TRUE((co_await c.unlink(file)).has_value());
+    step();
+    EXPECT_TRUE((co_await c.rmdir(a)).has_value());
+    step();
+  }(f.sim, f.client, counts));
+  const std::vector<Counts> expected = {
+      {0, 1, 0, 0},   // mkdir /a
+      {0, 2, 0, 1},   // create /a/f: parent cached
+      {0, 3, 2, 2},   // write: cached leaf, two chunks, set_size
+      {0, 3, 3, 3},   // read: cached leaf
+      {0, 4, 3, 4},   // fsync: cached leaf plus a getattr
+      {1, 5, 3, 5},   // getattr: cached parent, fresh leaf
+      {1, 6, 3, 6},   // readdir: cached dir
+      {3, 9, 4, 6},   // write after expiry: both components looked up again
+      {3, 10, 4, 7},  // unlink: cached parent
+      {3, 11, 4, 7},  // rmdir: root parent needs no cache
+  };
+  EXPECT_EQ(counts, expected);
+  EXPECT_EQ(f.sim.now(), 2'002'432'213u);
 }
 
 TEST(DfsClient, DeepPathsCostMoreLookups) {
