@@ -28,6 +28,13 @@ std::string region_metric_scope(const fs::Path& root) {
   return "region." + tag;
 }
 
+/// Decodes a get_entry() reply: the cached entry, or nullopt when the key
+/// is absent or its server unreachable.
+std::optional<CachedMeta> found_meta(const kv::KvResponse& resp) {
+  if (resp.status != kv::KvStatus::ok) return std::nullopt;
+  return decode_meta(resp.value);
+}
+
 }  // namespace
 
 ConsistentRegion::ConsistentRegion(sim::Simulation& sim, net::Fabric& fabric,
@@ -196,7 +203,7 @@ sim::Task<FsResult<void>> ConsistentRegion::check_permission(net::NodeId from,
   for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
     const bool leaf = (*it == path);
     const fs::Access want = leaf ? access : fs::Access::execute;
-    auto meta = co_await cache_get(from, *it, span);
+    const auto meta = found_meta(co_await get_entry(from, *it, span));
     if (meta) {
       if (!fs::permits(meta->attr.mode, meta->attr.uid, meta->attr.gid, config_.creds, want)) {
         co_return fs::fail(FsError::permission);
@@ -222,7 +229,7 @@ sim::Task<FsResult<void>> ConsistentRegion::check_parent(net::NodeId from,
                                                          obs::SpanId span) {
   const fs::Path parent = path.parent();
   if (!contains(parent)) co_return FsResult<void>{};  // workspace root's parent
-  const auto meta = co_await cache_get(from, parent, span);
+  const auto meta = found_meta(co_await get_entry(from, parent, span));
   if (meta) {
     if (meta->removed) co_return fs::fail(FsError::not_found);
     if (!meta->attr.is_dir()) co_return fs::fail(FsError::not_a_directory);
@@ -246,12 +253,10 @@ sim::Task<FsResult<void>> ConsistentRegion::load_parent(net::NodeId from, fs::Pa
 
 // ---- Cache helpers ----------------------------------------------------------
 
-sim::Task<std::optional<CachedMeta>> ConsistentRegion::cache_get(net::NodeId from,
-                                                                 const fs::Path& path,
-                                                                 obs::SpanId span) {
-  const auto resp = co_await cache_->get(from, path.str(), path.hash(), span);
-  if (resp.status != kv::KvStatus::ok) co_return std::nullopt;
-  co_return decode_meta(resp.value);
+// lint-allow: coro-param-ref plain function: copies the key into the request before returning
+sim::Task<kv::KvResponse> ConsistentRegion::get_entry(net::NodeId from, const fs::Path& path,
+                                                      obs::SpanId span) const {
+  return cache_->get(from, path.str(), path.hash(), span);
 }
 
 void ConsistentRegion::publish(std::uint32_t client, OpMessage msg, obs::SpanId parent) {
@@ -381,7 +386,7 @@ sim::Task<FsResult<fs::InodeAttr>> ConsistentRegion::getattr(net::NodeId from,
                                                              obs::SpanId parent) {
   auto perm = co_await check_permission(from, path, fs::Access::read, parent);
   if (!perm) co_return fs::fail(perm.error());
-  auto meta = co_await cache_get(from, path, parent);
+  const auto meta = found_meta(co_await get_entry(from, path, parent));
   if (meta) {
     if (meta->removed) co_return fs::fail(FsError::not_found);
     co_return meta->attr;
@@ -411,7 +416,7 @@ sim::Task<FsResult<void>> ConsistentRegion::remove(net::NodeId from, std::uint32
   // CAS loop: mark the entry removed (Table I: rm = update & delete; the
   // cached copy is deleted by the commit process once the DFS applied it).
   for (;;) {
-    const auto cur = co_await cache_->get(from, path.str(), path.hash(), parent);
+    const auto cur = co_await get_entry(from, path, parent);
     if (cur.status == kv::KvStatus::unreachable) {
       // Degraded pass-through: the key's cache shard is gone; unlink
       // synchronously on the DFS (nothing cached survives to go stale).
@@ -590,7 +595,7 @@ sim::Task<FsResult<std::uint64_t>> ConsistentRegion::write(net::NodeId from,
   dfs::DfsClient& io = *state_for(from).dfs_client;
 
   for (;;) {
-    const auto cur = co_await cache_->get(from, path.str(), path.hash(), parent);
+    const auto cur = co_await get_entry(from, path, parent);
     if (cur.status == kv::KvStatus::unreachable) {
       // Degraded pass-through: write through to the DFS directly; no cached
       // copy exists to keep coherent while the shard is down.
@@ -669,7 +674,7 @@ sim::Task<FsResult<std::uint64_t>> ConsistentRegion::read(net::NodeId from, cons
                                                           obs::SpanId parent) {
   auto perm = co_await check_permission(from, path, fs::Access::read, parent);
   if (!perm) co_return fs::fail(perm.error());
-  auto meta = co_await cache_get(from, path, parent);
+  const auto meta = found_meta(co_await get_entry(from, path, parent));
   if (meta && !meta->removed && !meta->large_file) {
     // Single KV request served both metadata and data (Section III.D.2).
     if (offset >= meta->inline_bytes) co_return 0;
@@ -681,7 +686,7 @@ sim::Task<FsResult<std::uint64_t>> ConsistentRegion::read(net::NodeId from, cons
 
 sim::Task<FsResult<void>> ConsistentRegion::fsync(net::NodeId from, const fs::Path& path,
                                                   obs::SpanId parent) {
-  const auto cur = co_await cache_->get(from, path.str(), path.hash(), parent);
+  const auto cur = co_await get_entry(from, path, parent);
   NodeState& state = state_for(from);
   if (cur.status == kv::KvStatus::unreachable) {
     // Degraded pass-through: delegate durability to the DFS.
@@ -911,7 +916,7 @@ sim::Task<FsError> ConsistentRegion::apply_once(NodeState& node, const OpMessage
       if (!r && r.error() == FsError::not_found) {
         // Either the create has not committed yet (retry) or another node's
         // remove already won (drop: a removed file's backup needs no data).
-        auto meta = co_await cache_get(node.node, path, span);
+        const auto meta = found_meta(co_await get_entry(node.node, path, span));
         if (!meta || meta->removed) co_return FsError::ok;
         co_return FsError::not_found;
       }

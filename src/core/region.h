@@ -315,10 +315,13 @@ class ConsistentRegion {
   /// path's cached one.
   OpMessage make_op(OpMessage::Kind kind, const fs::Path& path, fs::FileMode mode = {}) const;
 
-  /// Cache entry fetch decoding the removed-marker; the path's cached hash
-  /// rides along so the cluster router and server skip rehashing the key.
-  sim::Task<std::optional<CachedMeta>> cache_get(net::NodeId from, const fs::Path& path,
-                                                 obs::SpanId span = obs::kNoSpan);
+  /// The kv get of `path`'s cache entry; decode the reply with
+  /// found_meta(). A plain function: the request copies the key before it
+  /// returns, so the awaiting frame holds no copy of it. The path's cached
+  /// hash rides along so the cluster router and server skip rehashing.
+  // lint-allow: coro-param-ref plain function: copies the key into the request before returning
+  sim::Task<kv::KvResponse> get_entry(net::NodeId from, const fs::Path& path,
+                                      obs::SpanId span) const;
 
   /// Publishes `msg` on `client`'s node queue. A traced caller (`parent`)
   /// gets a "commit" span opened here and carried inside the message; it

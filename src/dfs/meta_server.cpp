@@ -9,7 +9,7 @@ using fs::FsError;
 MetaServer::MetaServer(sim::Simulation& sim, net::Fabric& fabric, net::NodeId node,
                        sim::SimDisk& disk, MetaServerConfig config)
     : sim_(sim), node_(node), disk_(disk), config_(config), cache_(config.cache_capacity) {
-  // Shard-unique inode numbers: high bits carry the node id.
+  // Inode numbers carry the MDS node id in their high bits.
   next_ino_ = (static_cast<fs::Ino>(node.value + 1) << 40) + 1;
   net::RpcService<MetaRequest, MetaResponse>::Config rpc_cfg;
   rpc_cfg.workers = config_.workers;
@@ -27,11 +27,6 @@ void MetaServer::install_root() {
   root.mode = fs::FileMode{0x7, 0x7, 0x7};
   root.nlink = 2;
   inodes_.emplace(fs::kRootIno, root);
-}
-
-void MetaServer::adopt_directory(const fs::InodeAttr& attr) {
-  assert(attr.is_dir());
-  inodes_.emplace(attr.ino, attr);
 }
 
 sim::Task<MetaResponse> MetaServer::handle(MetaRequest req) {
@@ -109,14 +104,8 @@ MetaResponse MetaServer::do_lookup(const MetaRequest& req) {
     resp.status = FsError::not_found;
     return resp;
   }
-  auto child = inodes_.find(it->second);
-  if (child == inodes_.end()) {
-    // Dentry points into another shard; report attr-less success so the
-    // client retries against the owning server.
-    resp.status = FsError::stale;
-    resp.attr.ino = it->second;
-    return resp;
-  }
+  const auto child = inodes_.find(it->second);
+  assert(child != inodes_.end());
   resp.attr = child->second;
   return resp;
 }
@@ -178,13 +167,12 @@ MetaResponse MetaServer::do_unlink(const MetaRequest& req) {
     return resp;
   }
   auto child = inodes_.find(it->second);
-  if (child != inodes_.end()) {
-    if (child->second.is_dir()) {
-      resp.status = FsError::is_a_directory;
-      return resp;
-    }
-    inodes_.erase(child);
+  assert(child != inodes_.end());
+  if (child->second.is_dir()) {
+    resp.status = FsError::is_a_directory;
+    return resp;
   }
+  inodes_.erase(child);
   entries->erase(it);
   parent->mtime = sim_.now();
   return resp;
@@ -205,10 +193,7 @@ MetaResponse MetaServer::do_rmdir(const MetaRequest& req) {
     return resp;
   }
   auto child = inodes_.find(it->second);
-  if (child == inodes_.end()) {
-    resp.status = FsError::stale;  // child hosted on another shard
-    return resp;
-  }
+  assert(child != inodes_.end());
   if (!child->second.is_dir()) {
     resp.status = FsError::not_a_directory;
     return resp;
@@ -233,11 +218,9 @@ MetaResponse MetaServer::do_readdir(const MetaRequest& req) {
   if (entries == nullptr) return resp;
   resp.entries.reserve(entries->size());
   for (const auto& [name, ino] : *entries) {
-    auto child = inodes_.find(ino);
-    const fs::FileType type = child != inodes_.end() && child->second.is_dir()
-                                  ? fs::FileType::directory
-                                  : fs::FileType::file;
-    resp.entries.push_back(fs::DirEntry{name, type});
+    const auto child = inodes_.find(ino);
+    assert(child != inodes_.end());
+    resp.entries.push_back(fs::DirEntry{name, child->second.type});
   }
   return resp;
 }

@@ -1,7 +1,7 @@
 // Centralized metadata server (one MDS of the BeeGFS-like DFS).
 //
-// Owns a shard of the namespace: directory entries and inode attributes,
-// held in real maps and persisted through a simulated write-ahead log on the
+// Owns the whole namespace: directory entries and inode attributes, held in
+// real maps and persisted through a simulated write-ahead log on the
 // MDS disk. Every mutation pays CPU service time plus a WAL write; lookups
 // pay CPU plus, for inodes that fell out of the server-side metadata cache,
 // a disk read. The bounded RPC worker pool makes an overloaded MDS queue --
@@ -58,13 +58,8 @@ class MetaServer {
     return rpc_->call(from, std::move(req), parent);
   }
 
-  /// Installs the shared root inode. Exactly one MDS in a cluster roots the
-  /// namespace; with directory sharding others host subsets of dirs.
+  /// Installs the root inode (a cluster's single MDS calls this once).
   void install_root();
-
-  /// Registers a directory created on another shard so this server can hold
-  /// its children (directory-sharded deployments).
-  void adopt_directory(const fs::InodeAttr& attr);
 
   // Introspection.
   std::size_t inode_count() const { return inodes_.size(); }
@@ -99,7 +94,8 @@ class MetaServer {
   MetaServerConfig config_;
   // Every inode is its attributes alone. Entries live in a per-directory
   // table created with the first entry and erased with the directory, so
-  // files and empty directories carry no child map.
+  // files and empty directories carry no child map. A dentry and its inode
+  // are created and erased together, so every entry's inode is present.
   std::unordered_map<fs::Ino, fs::InodeAttr> inodes_;
   std::unordered_map<fs::Ino, Dirents> dirents_;
   fs::Ino next_ino_ = fs::kRootIno + 1;

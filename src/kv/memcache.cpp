@@ -229,7 +229,7 @@ sim::Task<KvResponse> MemCacheCluster::route(net::NodeId from, KvRequest req,
   for (std::size_t attempt = 0;; ++attempt) {
     if (ring_.live_node_count() == 0) break;  // every server suspect: give up
     const net::NodeId owner = ring_.node_for_hash(req.key_hash);
-    auto resp = co_await server_on(owner).call(from, KvRequest{req}, span.id());
+    auto resp = co_await send_to(req, owner, from, span.id());
     if (resp) {
       note_success(owner);
       span.finish("ok");
@@ -245,6 +245,14 @@ sim::Task<KvResponse> MemCacheCluster::route(net::NodeId from, KvRequest req,
   ++unreachable_requests_;
   span.finish("unreachable");
   co_return KvResponse{KvStatus::unreachable, {}, 0, 0};
+}
+
+// lint-allow: coro-param-ref plain function: copies the request into the call before returning
+sim::Task<net::RpcResult<KvResponse>> MemCacheCluster::send_to(const KvRequest& req,
+                                                               net::NodeId owner,
+                                                               net::NodeId from,
+                                                               obs::SpanId span) {
+  return server_on(owner).call(from, KvRequest{req}, span);
 }
 
 sim::Task<KvResponse> MemCacheCluster::get(net::NodeId from, std::string key,

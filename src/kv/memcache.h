@@ -277,6 +277,11 @@ class MemCacheCluster {
 
  private:
   sim::Task<KvResponse> route(net::NodeId from, KvRequest req, obs::SpanId parent);
+  /// One wire attempt of route(): sends a copy of `req` to `owner`. A plain
+  /// function, so the per-attempt copy never occupies route's frame.
+  // lint-allow: coro-param-ref plain function: copies the request into the call before returning
+  sim::Task<net::RpcResult<KvResponse>> send_to(const KvRequest& req, net::NodeId owner,
+                                                net::NodeId from, obs::SpanId span);
   /// Returns true when this failure is the one that marked the node suspect
   /// (its keyspace just failed over to the ring successor).
   bool note_failure(net::NodeId node);

@@ -107,10 +107,11 @@ class RpcService {
     if (!fabric_.node_up(self_)) {
       co_return fs::Unexpected(RpcFailure::unreachable);  // server died in flight
     }
-    // The envelope -- request, reply slot and this frame's handle -- stays
-    // in this frame: the worker moves the request out, emplaces the reply and
-    // wakes us. Only its address crosses the inbox.
-    Envelope env{std::move(req)};
+    // The envelope -- a pointer to `req`, the reply slot and this frame's
+    // handle -- stays in this frame: the worker moves the request out of
+    // `req`, emplaces the reply and wakes us. Only its address crosses the
+    // inbox, and the request sits in this frame once.
+    Envelope env{&req};
     if (!co_await inbox_.send(&env)) {
       co_return fs::Unexpected(RpcFailure::shutdown);
     }
@@ -142,7 +143,7 @@ class RpcService {
   /// the reply and wake `caller` once the handler returns. At teardown the
   /// kernel destroys callers and workers without resuming either.
   struct Envelope {
-    Req request;
+    Req* request;  // the caller's by-value parameter
     std::optional<Resp> reply{};
     std::coroutine_handle<> caller{};
   };
@@ -161,7 +162,7 @@ class RpcService {
       const std::optional<Envelope*> env = co_await inbox_.recv();
       if (!env) break;  // shutdown
       Envelope& e = **env;
-      Resp resp = co_await handler_(std::move(e.request));
+      Resp resp = co_await handler_(std::move(*e.request));
       ++served_;
       e.reply.emplace(std::move(resp));
       if (e.caller) sim_.schedule_now(e.caller);

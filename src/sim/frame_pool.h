@@ -13,6 +13,12 @@
 // footprint is bounded by the workload's own peak concurrency and a long
 // run cannot hoard memory that one early burst touched.
 //
+// Allocation is best fit: a request takes the smallest parked block of its
+// own class or of a larger class up to twice its size, and goes to the heap
+// only when none is parked. Two call chains that run one after the other
+// (a client's create, then its getattr) thus share one set of blocks
+// instead of each parking its own peak. A borrowed block keeps its class.
+//
 // Sanitizer + detector builds compile the pool OUT (plain operator
 // new/delete): recycled frames would otherwise mask use-after-free from
 // ASan and resume-after-destroy from the coroutine-lifetime detector, and
@@ -54,6 +60,10 @@ void frame_free(void* p) noexcept;
 /// Frames currently parked on free lists (test/diagnostic hook).
 std::size_t pooled_frame_count();
 
+/// Bytes of the blocks currently parked on free lists, block headers
+/// included (test/diagnostic hook).
+std::size_t pooled_frame_bytes();
+
 /// Total frame allocations served from a free list (test/diagnostic hook).
 std::size_t pooled_frame_reuses();
 
@@ -62,6 +72,7 @@ std::size_t pooled_frame_reuses();
 inline void* frame_alloc(std::size_t bytes) { return ::operator new(bytes); }
 inline void frame_free(void* p) noexcept { ::operator delete(p); }
 inline std::size_t pooled_frame_count() { return 0; }
+inline std::size_t pooled_frame_bytes() { return 0; }
 inline std::size_t pooled_frame_reuses() { return 0; }
 
 #endif  // PACON_FRAME_POOL

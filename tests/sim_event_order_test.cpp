@@ -1,5 +1,5 @@
 // Property tests for the event-heap rewrite: scheduling order, callback
-// slot recycling, and coroutine-frame pooling.
+// slot recycling, and coroutine-frame pooling (including best-fit reuse).
 //
 // The determinism gate (tests/pacon_determinism_check) compares whole-run
 // traces; these tests pin the kernel-level contracts the gate rests on,
@@ -8,8 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <functional>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -157,6 +159,96 @@ TEST(FramePool, RecyclesFramesAcrossSpawnWaves) {
   } else {
     EXPECT_EQ(reuses_after, 0u);
     EXPECT_EQ(detail::pooled_frame_count(), 0u);
+  }
+}
+
+// ---- Best-fit frame reuse ----------------------------------------------------
+
+std::size_t g_frame_sink = 0;
+
+// A process whose frame holds `Bytes` of state across one suspension, the
+// way a request-path coroutine holds its locals across an RPC.
+template <std::size_t Bytes>
+Task<> hold_frame(Simulation& s) {
+  std::array<unsigned char, Bytes> state{};
+  state[Bytes - 1] = 1;
+  co_await s.delay(1);
+  g_frame_sink += state[Bytes - 1];
+}
+
+// A client that runs one call chain, then another: a create, then a getattr.
+template <std::size_t First, std::size_t Second>
+Task<> two_step_client(Simulation& s) {
+  co_await hold_frame<First>(s);
+  co_await hold_frame<Second>(s);
+}
+
+// The two frame shapes: different 64-B classes, the larger block within
+// twice the smaller request.
+constexpr std::size_t kLargeFrame = 800;
+constexpr std::size_t kSmallFrame = 500;
+constexpr int kWave = 64;
+
+// Bytes parked after one wave of two-step clients, every client live at
+// once. The wave runs on a thread of its own, so it starts from an empty
+// (thread-local) pool.
+template <std::size_t First, std::size_t Second>
+std::size_t parked_bytes_after_wave() {
+  std::size_t parked = 0;
+  std::thread([&parked] {
+    Simulation sim;
+    for (int i = 0; i < kWave; ++i) sim.spawn(two_step_client<First, Second>(sim));
+    sim.run();
+    sim.reap_completed_roots();
+    parked = detail::pooled_frame_bytes();
+  }).join();
+  return parked;
+}
+
+// A wave of smaller frames is served from the blocks a wave of larger ones
+// parked: no block comes from the heap and the pool does not grow.
+TEST(FramePool, SmallerFramesReuseLargerParkedBlocks) {
+  std::size_t parked_large = 0;
+  std::size_t parked_after = 0;
+  std::size_t small_reuses = 0;
+  std::thread([&] {
+    Simulation sim;
+    for (int i = 0; i < kWave; ++i) sim.spawn(hold_frame<kLargeFrame>(sim));
+    sim.run();
+    sim.reap_completed_roots();
+    parked_large = detail::pooled_frame_bytes();
+    const std::size_t reuses_before = detail::pooled_frame_reuses();
+    for (int i = 0; i < kWave; ++i) sim.spawn(hold_frame<kSmallFrame>(sim));
+    sim.run();
+    sim.reap_completed_roots();
+    small_reuses = detail::pooled_frame_reuses() - reuses_before;
+    parked_after = detail::pooled_frame_bytes();
+  }).join();
+  if (detail::frame_pool_enabled()) {
+    EXPECT_GT(parked_large, 0u);
+    EXPECT_EQ(small_reuses, static_cast<std::size_t>(kWave));
+    EXPECT_EQ(parked_after, parked_large);
+  } else {
+    EXPECT_EQ(parked_large, 0u);
+    EXPECT_EQ(small_reuses, 0u);
+    EXPECT_EQ(parked_after, 0u);
+  }
+}
+
+// Clients that run a large-frame chain and then a small-frame one never
+// hold more than their large frames at once. A pool that parks each class
+// up to its own peak would keep both sets of blocks; best fit keeps the
+// pool within the bytes a one-shape wave parks, which are exactly its
+// peak-live bytes (every client holds its frames at the same time).
+TEST(FramePool, ParkedBytesStayWithinPeakLiveBytes) {
+  const std::size_t peak_live = parked_bytes_after_wave<kLargeFrame, kLargeFrame>();
+  const std::size_t parked = parked_bytes_after_wave<kLargeFrame, kSmallFrame>();
+  if (detail::frame_pool_enabled()) {
+    EXPECT_GT(peak_live, 0u);
+    EXPECT_LE(parked, peak_live);
+  } else {
+    EXPECT_EQ(peak_live, 0u);
+    EXPECT_EQ(parked, 0u);
   }
 }
 
