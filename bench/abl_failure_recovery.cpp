@@ -29,7 +29,7 @@ sim::Task<> recovery_scenario(harness::TestBed& bed, App& app,
     (void)co_await app.clients[static_cast<std::size_t>(i) % n]->create(
         base.child("base" + std::to_string(i)), fs::FileMode::file_default());
   }
-  auto ckpt = co_await region->checkpoint(0);
+  auto ckpt = co_await region->checkpoint();
   ok = ckpt.has_value();
   if (!ok) co_return;
   // Work since the checkpoint: lost by the rollback, and (while still

@@ -63,19 +63,14 @@ Pacon::Pacon(PaconRuntime& rt, net::NodeId node, PaconConfig config)
   hints_valid_at_ = region_->invalidation_epoch();
 }
 
-Pacon::Route Pacon::route_of(const fs::Path& path, ConsistentRegion** which) {
-  if (region_->contains(path)) {
-    *which = region_;
-    return Route::own_region;
-  }
+FsResult<ConsistentRegion*> Pacon::region_for(const fs::Path& path, bool mutates) {
+  if (region_->contains(path)) return region_;
   for (ConsistentRegion* merged : merged_) {
-    if (merged->contains(path)) {
-      *which = merged;
-      return Route::merged_region;
-    }
+    if (!merged->contains(path)) continue;
+    if (mutates) return fs::fail(FsError::permission);  // merged regions are read-only
+    return merged;
   }
-  *which = nullptr;
-  return Route::dfs;
+  return nullptr;
 }
 
 void Pacon::refresh_hints() {
@@ -85,198 +80,147 @@ void Pacon::refresh_hints() {
   }
 }
 
+// Every operation opens its root span (whenever a tracer is installed on the
+// simulation; every layer below hangs its work off op.id()), asks
+// region_for where the path is served, and awaits the region or the DFS
+// client. The two awaits stay in separate branches with a result of their
+// own: one conditional expression over both, or a helper taking the
+// awaited result, grows the frame by a pool class.
+
 sim::Task<FsResult<void>> Pacon::mkdir(const fs::Path& path, fs::FileMode mode) {
-  // Root span of the operation (opened whenever a tracer is installed on
-  // the simulation); every layer below hangs its work off op.id().
   obs::Span op(rt_.sim.tracer(), "pacon.mkdir", obs::kNoSpan, node_.value);
-  ConsistentRegion* region = nullptr;
-  switch (route_of(path, &region)) {
-    case Route::own_region: {
-      refresh_hints();
-      const bool parent_known =
-          parent_hints_.find(path.parent_hash(), rt_.sim.now()) != nullptr;
-      auto r = co_await region->mkdir(node_, client_id_, path, mode, parent_known, op.id());
-      if (r) {
-        parent_hints_.insert(path.hash(), {}, rt_.sim.now());
-        parent_hints_.insert(path.parent_hash(), {}, rt_.sim.now());
-      }
-      op.finish(r ? "ok" : "error");
-      co_return r;
-    }
-    case Route::merged_region:
-      co_return fs::fail(FsError::permission);  // merged regions are read-only
-    case Route::dfs: {
-      auto r = co_await dfs_fallback_->mkdir(path, mode, op.id());
-      op.finish(r ? "ok" : "error");
-      if (!r) co_return fs::fail(r.error());
-      co_return FsResult<void>{};
-    }
+  const FsResult<ConsistentRegion*> region = region_for(path, /*mutates=*/true);
+  if (!region) co_return fs::fail(region.error());
+  if (*region == nullptr) {
+    auto r = co_await dfs_fallback_->mkdir(path, mode, op.id());
+    op.finish(r ? "ok" : "error");
+    if (!r) co_return fs::fail(r.error());
+    co_return FsResult<void>{};
   }
-  co_return fs::fail(FsError::invalid);
+  refresh_hints();
+  const bool parent_known = parent_hints_.find(path.parent_hash(), rt_.sim.now()) != nullptr;
+  auto r = co_await (*region)->mkdir(node_, client_id_, path, mode, parent_known, op.id());
+  if (r) {
+    parent_hints_.insert(path.hash(), {}, rt_.sim.now());
+    parent_hints_.insert(path.parent_hash(), {}, rt_.sim.now());
+  }
+  op.finish(r ? "ok" : "error");
+  co_return r;
 }
 
 sim::Task<FsResult<void>> Pacon::create(const fs::Path& path, fs::FileMode mode) {
   obs::Span op(rt_.sim.tracer(), "pacon.create", obs::kNoSpan, node_.value);
-  ConsistentRegion* region = nullptr;
-  switch (route_of(path, &region)) {
-    case Route::own_region: {
-      refresh_hints();
-      const bool parent_known =
-          parent_hints_.find(path.parent_hash(), rt_.sim.now()) != nullptr;
-      auto r = co_await region->create(node_, client_id_, path, mode, parent_known, op.id());
-      if (r) parent_hints_.insert(path.parent_hash(), {}, rt_.sim.now());
-      op.finish(r ? "ok" : "error");
-      co_return r;
-    }
-    case Route::merged_region:
-      co_return fs::fail(FsError::permission);
-    case Route::dfs: {
-      auto r = co_await dfs_fallback_->create(path, mode, op.id());
-      op.finish(r ? "ok" : "error");
-      if (!r) co_return fs::fail(r.error());
-      co_return FsResult<void>{};
-    }
+  const FsResult<ConsistentRegion*> region = region_for(path, /*mutates=*/true);
+  if (!region) co_return fs::fail(region.error());
+  if (*region == nullptr) {
+    auto r = co_await dfs_fallback_->create(path, mode, op.id());
+    op.finish(r ? "ok" : "error");
+    if (!r) co_return fs::fail(r.error());
+    co_return FsResult<void>{};
   }
-  co_return fs::fail(FsError::invalid);
+  refresh_hints();
+  const bool parent_known = parent_hints_.find(path.parent_hash(), rt_.sim.now()) != nullptr;
+  auto r = co_await (*region)->create(node_, client_id_, path, mode, parent_known, op.id());
+  if (r) parent_hints_.insert(path.parent_hash(), {}, rt_.sim.now());
+  op.finish(r ? "ok" : "error");
+  co_return r;
 }
 
 sim::Task<FsResult<fs::InodeAttr>> Pacon::getattr(const fs::Path& path) {
   obs::Span op(rt_.sim.tracer(), "pacon.getattr", obs::kNoSpan, node_.value);
-  ConsistentRegion* region = nullptr;
-  switch (route_of(path, &region)) {
-    case Route::own_region:
-    case Route::merged_region: {
-      auto r = co_await region->getattr(node_, path, op.id());
-      op.finish(r ? "ok" : "error");
-      co_return r;
-    }
-    case Route::dfs: {
-      auto r = co_await dfs_fallback_->getattr(path, op.id());
-      op.finish(r ? "ok" : "error");
-      co_return r;
-    }
+  ConsistentRegion* const region = *region_for(path, /*mutates=*/false);
+  if (region == nullptr) {
+    auto r = co_await dfs_fallback_->getattr(path, op.id());
+    op.finish(r ? "ok" : "error");
+    co_return r;
   }
-  co_return fs::fail(FsError::invalid);
+  auto r = co_await region->getattr(node_, path, op.id());
+  op.finish(r ? "ok" : "error");
+  co_return r;
 }
 
 sim::Task<FsResult<void>> Pacon::remove(const fs::Path& path) {
   obs::Span op(rt_.sim.tracer(), "pacon.remove", obs::kNoSpan, node_.value);
-  ConsistentRegion* region = nullptr;
-  switch (route_of(path, &region)) {
-    case Route::own_region: {
-      auto r = co_await region->remove(node_, client_id_, path, op.id());
-      op.finish(r ? "ok" : "error");
-      co_return r;
-    }
-    case Route::merged_region:
-      co_return fs::fail(FsError::permission);
-    case Route::dfs: {
-      auto r = co_await dfs_fallback_->unlink(path, op.id());
-      op.finish(r ? "ok" : "error");
-      co_return r;
-    }
+  const FsResult<ConsistentRegion*> region = region_for(path, /*mutates=*/true);
+  if (!region) co_return fs::fail(region.error());
+  if (*region == nullptr) {
+    auto r = co_await dfs_fallback_->unlink(path, op.id());
+    op.finish(r ? "ok" : "error");
+    co_return r;
   }
-  co_return fs::fail(FsError::invalid);
+  auto r = co_await (*region)->remove(node_, client_id_, path, op.id());
+  op.finish(r ? "ok" : "error");
+  co_return r;
 }
 
 sim::Task<FsResult<void>> Pacon::rmdir(const fs::Path& path) {
   obs::Span op(rt_.sim.tracer(), "pacon.rmdir", obs::kNoSpan, node_.value);
-  ConsistentRegion* region = nullptr;
-  switch (route_of(path, &region)) {
-    case Route::own_region: {
-      auto r = co_await region->rmdir(node_, client_id_, path, op.id());
-      op.finish(r ? "ok" : "error");
-      co_return r;
-    }
-    case Route::merged_region:
-      co_return fs::fail(FsError::permission);
-    case Route::dfs: {
-      auto r = co_await dfs_fallback_->rmdir(path, op.id());
-      op.finish(r ? "ok" : "error");
-      co_return r;
-    }
+  const FsResult<ConsistentRegion*> region = region_for(path, /*mutates=*/true);
+  if (!region) co_return fs::fail(region.error());
+  if (*region == nullptr) {
+    auto r = co_await dfs_fallback_->rmdir(path, op.id());
+    op.finish(r ? "ok" : "error");
+    co_return r;
   }
-  co_return fs::fail(FsError::invalid);
+  auto r = co_await (*region)->rmdir(node_, path, op.id());
+  op.finish(r ? "ok" : "error");
+  co_return r;
 }
 
 sim::Task<FsResult<std::vector<fs::DirEntry>>> Pacon::readdir(const fs::Path& path) {
   obs::Span op(rt_.sim.tracer(), "pacon.readdir", obs::kNoSpan, node_.value);
-  ConsistentRegion* region = nullptr;
-  switch (route_of(path, &region)) {
-    case Route::own_region:
-    case Route::merged_region: {
-      auto r = co_await region->readdir(node_, client_id_, path, op.id());
-      op.finish(r ? "ok" : "error");
-      co_return r;
-    }
-    case Route::dfs: {
-      auto r = co_await dfs_fallback_->readdir(path, op.id());
-      op.finish(r ? "ok" : "error");
-      co_return r;
-    }
+  ConsistentRegion* const region = *region_for(path, /*mutates=*/false);
+  if (region == nullptr) {
+    auto r = co_await dfs_fallback_->readdir(path, op.id());
+    op.finish(r ? "ok" : "error");
+    co_return r;
   }
-  co_return fs::fail(FsError::invalid);
+  auto r = co_await region->readdir(node_, path, op.id());
+  op.finish(r ? "ok" : "error");
+  co_return r;
 }
 
 sim::Task<FsResult<std::uint64_t>> Pacon::write(const fs::Path& path, std::uint64_t offset,
                                                 std::uint64_t length) {
   obs::Span op(rt_.sim.tracer(), "pacon.write", obs::kNoSpan, node_.value);
-  ConsistentRegion* region = nullptr;
-  switch (route_of(path, &region)) {
-    case Route::own_region: {
-      auto r = co_await region->write(node_, client_id_, path, offset, length, op.id());
-      op.finish(r ? "ok" : "error");
-      co_return r;
-    }
-    case Route::merged_region:
-      co_return fs::fail(FsError::permission);
-    case Route::dfs: {
-      auto r = co_await dfs_fallback_->write(path, offset, length, op.id());
-      op.finish(r ? "ok" : "error");
-      co_return r;
-    }
+  const FsResult<ConsistentRegion*> region = region_for(path, /*mutates=*/true);
+  if (!region) co_return fs::fail(region.error());
+  if (*region == nullptr) {
+    auto r = co_await dfs_fallback_->write(path, offset, length, op.id());
+    op.finish(r ? "ok" : "error");
+    co_return r;
   }
-  co_return fs::fail(FsError::invalid);
+  auto r = co_await (*region)->write(node_, client_id_, path, offset, length, op.id());
+  op.finish(r ? "ok" : "error");
+  co_return r;
 }
 
 sim::Task<FsResult<std::uint64_t>> Pacon::read(const fs::Path& path, std::uint64_t offset,
                                                std::uint64_t length) {
   obs::Span op(rt_.sim.tracer(), "pacon.read", obs::kNoSpan, node_.value);
-  ConsistentRegion* region = nullptr;
-  switch (route_of(path, &region)) {
-    case Route::own_region:
-    case Route::merged_region: {
-      auto r = co_await region->read(node_, path, offset, length, op.id());
-      op.finish(r ? "ok" : "error");
-      co_return r;
-    }
-    case Route::dfs: {
-      auto r = co_await dfs_fallback_->read(path, offset, length, op.id());
-      op.finish(r ? "ok" : "error");
-      co_return r;
-    }
+  ConsistentRegion* const region = *region_for(path, /*mutates=*/false);
+  if (region == nullptr) {
+    auto r = co_await dfs_fallback_->read(path, offset, length, op.id());
+    op.finish(r ? "ok" : "error");
+    co_return r;
   }
-  co_return fs::fail(FsError::invalid);
+  auto r = co_await region->read(node_, path, offset, length, op.id());
+  op.finish(r ? "ok" : "error");
+  co_return r;
 }
 
 sim::Task<FsResult<void>> Pacon::fsync(const fs::Path& path) {
   obs::Span op(rt_.sim.tracer(), "pacon.fsync", obs::kNoSpan, node_.value);
-  ConsistentRegion* region = nullptr;
-  switch (route_of(path, &region)) {
-    case Route::own_region: {
-      auto r = co_await region->fsync(node_, path, op.id());
-      op.finish(r ? "ok" : "error");
-      co_return r;
-    }
-    case Route::merged_region:
-      co_return fs::fail(FsError::permission);
-    case Route::dfs: {
-      auto r = co_await dfs_fallback_->fsync(path, op.id());
-      op.finish(r ? "ok" : "error");
-      co_return r;
-    }
+  const FsResult<ConsistentRegion*> region = region_for(path, /*mutates=*/true);
+  if (!region) co_return fs::fail(region.error());
+  if (*region == nullptr) {
+    auto r = co_await dfs_fallback_->fsync(path, op.id());
+    op.finish(r ? "ok" : "error");
+    co_return r;
   }
-  co_return fs::fail(FsError::invalid);
+  auto r = co_await (*region)->fsync(node_, path, op.id());
+  op.finish(r ? "ok" : "error");
+  co_return r;
 }
 
 sim::Task<FsResult<void>> Pacon::merge_region(const fs::Path& other_root) {
@@ -293,7 +237,7 @@ sim::Task<FsResult<void>> Pacon::merge_region(const fs::Path& other_root) {
 }
 
 sim::Task<FsResult<std::uint64_t>> Pacon::checkpoint() {
-  return region_->checkpoint(client_id_);
+  return region_->checkpoint();
 }
 
 sim::Task<FsResult<void>> Pacon::restore(std::uint64_t id) {
@@ -304,6 +248,6 @@ sim::Task<FsResult<void>> Pacon::recover_node_failure(net::NodeId failed) {
   return region_->recover_from_node_failure(failed);
 }
 
-sim::Task<> Pacon::drain() { return region_->drain(client_id_); }
+sim::Task<> Pacon::drain() { return region_->drain(); }
 
 }  // namespace pacon::core

@@ -126,8 +126,10 @@ class Pacon {
   sim::Task<> drain();
 
  private:
-  enum class Route { own_region, merged_region, dfs };
-  Route route_of(const fs::Path& path, ConsistentRegion** which);
+  /// Where `path` is served: the own region, a merged region (reads only),
+  /// or nullptr for the DFS. A mutation under a merged region is
+  /// FsError::permission (Section III.D.4: merged regions are read-only).
+  fs::FsResult<ConsistentRegion*> region_for(const fs::Path& path, bool mutates);
 
   void refresh_hints();
 

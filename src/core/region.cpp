@@ -247,7 +247,7 @@ sim::Task<FsResult<void>> ConsistentRegion::load_parent(net::NodeId from, fs::Pa
   if (!attr->is_dir()) co_return fs::fail(FsError::not_a_directory);
   CachedMeta loaded;
   loaded.attr = *attr;
-  (void)co_await cache_->add(from, parent.str(), encode_meta(loaded), 0, parent.hash(), span);
+  (void)co_await cache_->add(from, parent.str(), encode_meta(loaded), parent.hash(), span);
   co_return FsResult<void>{};
 }
 
@@ -327,7 +327,7 @@ sim::Task<FsResult<void>> ConsistentRegion::create_common(net::NodeId from,
   }
 
   const kv::KvStatus status =
-      (co_await cache_->add(from, path.str(), new_entry_value(mode, type), 0, path.hash(), parent))
+      (co_await cache_->add(from, path.str(), new_entry_value(mode, type), path.hash(), parent))
           .status;
   if (status == kv::KvStatus::ok && config_.async_commit) {
     co_await sim_.delay(config_.queue_publish_cpu);
@@ -402,7 +402,7 @@ sim::Task<FsResult<fs::InodeAttr>> ConsistentRegion::load_attr(net::NodeId from,
   CachedMeta loaded;
   loaded.attr = *attr;
   loaded.large_file = attr->size > config_.small_file_threshold;
-  (void)co_await cache_->add(from, path.str(), encode_meta(loaded), 0, path.hash(), span);
+  (void)co_await cache_->add(from, path.str(), encode_meta(loaded), path.hash(), span);
   co_return *attr;
 }
 
@@ -435,7 +435,7 @@ sim::Task<FsResult<void>> ConsistentRegion::remove(net::NodeId from, std::uint32
       marked.attr = *attr;
       marked.removed = true;
       const auto added =
-          co_await cache_->add(from, path.str(), encode_meta(marked), 0, path.hash(), parent);
+          co_await cache_->add(from, path.str(), encode_meta(marked), path.hash(), parent);
       if (added.status != kv::KvStatus::ok) continue;  // raced (or shard lost); retry
       break;
     }
@@ -444,7 +444,7 @@ sim::Task<FsResult<void>> ConsistentRegion::remove(net::NodeId from, std::uint32
     if (meta->removed) co_return fs::fail(FsError::not_found);
     if (meta->attr.is_dir()) co_return fs::fail(FsError::is_a_directory);
     meta->removed = true;
-    const auto swapped = co_await cache_->cas(from, path.str(), encode_meta(*meta), cur.cas, 0,
+    const auto swapped = co_await cache_->cas(from, path.str(), encode_meta(*meta), cur.cas,
                                               path.hash(), parent);
     if (swapped.status == kv::KvStatus::ok) break;
     // cas_mismatch or concurrent delete: retry the whole read-modify-write.
@@ -509,9 +509,8 @@ sim::Task<ConsistentRegion::BarrierResult> ConsistentRegion::run_barrier(net::No
   co_return BarrierResult{e, ok};
 }
 
-sim::Task<FsResult<void>> ConsistentRegion::rmdir(net::NodeId from, std::uint32_t client,
-                                                  const fs::Path& path, obs::SpanId parent) {
-  (void)client;
+sim::Task<FsResult<void>> ConsistentRegion::rmdir(net::NodeId from, fs::Path path,
+                                                  obs::SpanId parent) {
   auto perm = co_await check_permission(from, path.parent(), fs::Access::write, parent);
   if (!perm) co_return perm;
 
@@ -555,8 +554,7 @@ sim::Task<FsResult<void>> ConsistentRegion::rmdir(net::NodeId from, std::uint32_
 }
 
 sim::Task<FsResult<std::vector<fs::DirEntry>>> ConsistentRegion::readdir(
-    net::NodeId from, std::uint32_t client, const fs::Path& path, obs::SpanId parent) {
-  (void)client;
+    net::NodeId from, fs::Path path, obs::SpanId parent) {
   auto perm = co_await check_permission(from, path, fs::Access::read, parent);
   if (!perm) co_return fs::fail(perm.error());
   // Barrier, then delegate to the DFS: avoids a full cache-table scan and is
@@ -627,7 +625,7 @@ sim::Task<FsResult<std::uint64_t>> ConsistentRegion::write(net::NodeId from,
         meta->attr.size = new_size;
         meta->attr.mtime = sim_.now();
         const auto swapped = co_await cache_->cas(from, path.str(), encode_meta(*meta), cur.cas,
-                                                  0, path.hash(), parent);
+                                                  path.hash(), parent);
         if (swapped.status != kv::KvStatus::ok) continue;  // raced: retry
       }
       for (;;) {
@@ -652,7 +650,7 @@ sim::Task<FsResult<std::uint64_t>> ConsistentRegion::write(net::NodeId from,
     meta->inline_bytes = std::max(meta->inline_bytes, offset + length);
     meta->attr.size = new_size;
     meta->attr.mtime = sim_.now();
-    const auto swapped = co_await cache_->cas(from, path.str(), encode_meta(*meta), cur.cas, 0,
+    const auto swapped = co_await cache_->cas(from, path.str(), encode_meta(*meta), cur.cas,
                                               path.hash(), parent);
     if (swapped.status != kv::KvStatus::ok) continue;  // conflict: re-execute
     if (config_.async_commit) {
@@ -930,16 +928,15 @@ sim::Task<FsError> ConsistentRegion::apply_once(NodeState& node, const OpMessage
 
 // ---- drain / checkpoint / restore ---------------------------------------------
 
-sim::Task<> ConsistentRegion::drain(std::uint32_t client) {
-  (void)client;
+sim::Task<> ConsistentRegion::drain() {
   while (pending_total_ > 0) {
     drained_gate_.reset();
     co_await drained_gate_.wait();
   }
 }
 
-sim::Task<FsResult<std::uint64_t>> ConsistentRegion::checkpoint(std::uint32_t client) {
-  co_await drain(client);
+sim::Task<FsResult<std::uint64_t>> ConsistentRegion::checkpoint() {
+  co_await drain();
   const std::uint64_t id = next_checkpoint_id_++;
   dfs::DfsClient& io = *node_states_.front()->dfs_client;
   const fs::Path dest = checkpoint_path(id);

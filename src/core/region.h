@@ -150,12 +150,9 @@ class ConsistentRegion {
   sim::Task<fs::FsResult<void>> remove(net::NodeId from, std::uint32_t client,
                                        const fs::Path& path,
                                        obs::SpanId parent = obs::kNoSpan);
-  sim::Task<fs::FsResult<void>> rmdir(net::NodeId from, std::uint32_t client,
-                                      const fs::Path& path,
+  sim::Task<fs::FsResult<void>> rmdir(net::NodeId from, fs::Path path,
                                       obs::SpanId parent = obs::kNoSpan);
-  sim::Task<fs::FsResult<std::vector<fs::DirEntry>>> readdir(net::NodeId from,
-                                                             std::uint32_t client,
-                                                             const fs::Path& path,
+  sim::Task<fs::FsResult<std::vector<fs::DirEntry>>> readdir(net::NodeId from, fs::Path path,
                                                              obs::SpanId parent = obs::kNoSpan);
 
   // ---- File data operations ---------------------------------------------
@@ -173,11 +170,11 @@ class ConsistentRegion {
   // ---- Region management --------------------------------------------------
 
   /// Waits until every operation published so far is applied to the DFS.
-  sim::Task<> drain(std::uint32_t client);
+  sim::Task<> drain();
 
   /// Copies the workspace subtree on the DFS into a checkpoint; returns its
   /// id (paper Section III.G). Implies a drain.
-  sim::Task<fs::FsResult<std::uint64_t>> checkpoint(std::uint32_t client);
+  sim::Task<fs::FsResult<std::uint64_t>> checkpoint();
 
   /// Rolls the workspace back to checkpoint `id` and clears the cache
   /// (client-node failure recovery).

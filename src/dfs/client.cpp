@@ -10,6 +10,21 @@ namespace pacon::dfs {
 using fs::FsError;
 using fs::FsResult;
 
+namespace {
+
+/// Bytes a read or write moved: the sum over its chunk responses, or the
+/// first chunk's failure.
+FsResult<std::uint64_t> transferred(const std::vector<DataResponse>& responses) {
+  std::uint64_t bytes = 0;
+  for (const auto& r : responses) {
+    if (r.status != FsError::ok) return fs::fail(r.status);
+    bytes += r.transferred;
+  }
+  return bytes;
+}
+
+}  // namespace
+
 DfsClient::DfsClient(sim::Simulation& sim, DfsCluster& cluster, net::NodeId node,
                      DfsClientConfig config)
     : sim_(sim),
@@ -87,37 +102,30 @@ sim::Task<FsResult<fs::InodeAttr>> DfsClient::resolve_dir(const fs::Path& path,
   co_return attr;
 }
 
+// lint-allow: coro-param-ref plain function: copies the path into make_entry before returning
 sim::Task<FsResult<fs::InodeAttr>> DfsClient::mkdir(const fs::Path& path, fs::FileMode mode,
                                                     obs::SpanId span) {
-  if (!path.valid() || path.is_root()) co_return fs::fail(FsError::invalid);
-  obs::Span op(span != obs::kNoSpan ? sim_.tracer() : nullptr, "dfs.mkdir", span, node_.value);
-  auto parent = co_await resolve_dir(path.parent(), op.id());
-  if (!parent) co_return fs::fail(parent.error());
-  MetaRequest req;
-  req.op = MetaOp::create;
-  req.parent = parent->ino;
-  req.name = std::string(path.name());
-  req.type = fs::FileType::directory;
-  req.mode = mode;
-  req.creds = config_.creds;
-  const MetaResponse resp = co_await meta_call(std::move(req), op.id());
-  if (resp.status != FsError::ok) co_return fs::fail(resp.status);
-  dentries_.insert(path, dentry_of(resp.attr), sim_.now());
-  op.finish("ok");
-  co_return resp.attr;
+  return make_entry(path, fs::FileType::directory, mode, span);
 }
 
+// lint-allow: coro-param-ref plain function: copies the path into make_entry before returning
 sim::Task<FsResult<fs::InodeAttr>> DfsClient::create(const fs::Path& path, fs::FileMode mode,
                                                      obs::SpanId span) {
+  return make_entry(path, fs::FileType::file, mode, span);
+}
+
+sim::Task<FsResult<fs::InodeAttr>> DfsClient::make_entry(fs::Path path, fs::FileType type,
+                                                         fs::FileMode mode, obs::SpanId span) {
   if (!path.valid() || path.is_root()) co_return fs::fail(FsError::invalid);
-  obs::Span op(span != obs::kNoSpan ? sim_.tracer() : nullptr, "dfs.create", span, node_.value);
+  obs::Span op(span != obs::kNoSpan ? sim_.tracer() : nullptr,
+               type == fs::FileType::directory ? "dfs.mkdir" : "dfs.create", span, node_.value);
   auto parent = co_await resolve_dir(path.parent(), op.id());
   if (!parent) co_return fs::fail(parent.error());
   MetaRequest req;
   req.op = MetaOp::create;
   req.parent = parent->ino;
   req.name = std::string(path.name());
-  req.type = fs::FileType::file;
+  req.type = type;
   req.mode = mode;
   req.creds = config_.creds;
   const MetaResponse resp = co_await meta_call(std::move(req), op.id());
@@ -133,30 +141,25 @@ sim::Task<FsResult<fs::InodeAttr>> DfsClient::getattr(const fs::Path& path, obs:
   co_return co_await resolve(path, /*fresh_leaf=*/true, op.id());
 }
 
+// lint-allow: coro-param-ref plain function: copies the path into remove_entry before returning
 sim::Task<FsResult<void>> DfsClient::unlink(const fs::Path& path, obs::SpanId span) {
-  if (!path.valid() || path.is_root()) co_return fs::fail(FsError::invalid);
-  obs::Span op(span != obs::kNoSpan ? sim_.tracer() : nullptr, "dfs.unlink", span, node_.value);
-  auto parent = co_await resolve_dir(path.parent(), op.id());
-  if (!parent) co_return fs::fail(parent.error());
-  MetaRequest req;
-  req.op = MetaOp::unlink;
-  req.parent = parent->ino;
-  req.name = std::string(path.name());
-  req.creds = config_.creds;
-  const MetaResponse resp = co_await meta_call(std::move(req), op.id());
-  if (resp.status != FsError::ok) co_return fs::fail(resp.status);
-  dentries_.erase(path);
-  op.finish("ok");
-  co_return FsResult<void>{};
+  return remove_entry(path, MetaOp::unlink, span);
 }
 
+// lint-allow: coro-param-ref plain function: copies the path into remove_entry before returning
 sim::Task<FsResult<void>> DfsClient::rmdir(const fs::Path& path, obs::SpanId span) {
+  return remove_entry(path, MetaOp::rmdir, span);
+}
+
+sim::Task<FsResult<void>> DfsClient::remove_entry(fs::Path path, MetaOp op_kind,
+                                                  obs::SpanId span) {
   if (!path.valid() || path.is_root()) co_return fs::fail(FsError::invalid);
-  obs::Span op(span != obs::kNoSpan ? sim_.tracer() : nullptr, "dfs.rmdir", span, node_.value);
+  obs::Span op(span != obs::kNoSpan ? sim_.tracer() : nullptr,
+               op_kind == MetaOp::rmdir ? "dfs.rmdir" : "dfs.unlink", span, node_.value);
   auto parent = co_await resolve_dir(path.parent(), op.id());
   if (!parent) co_return fs::fail(parent.error());
   MetaRequest req;
-  req.op = MetaOp::rmdir;
+  req.op = op_kind;
   req.parent = parent->ino;
   req.name = std::string(path.name());
   req.creds = config_.creds;
@@ -182,15 +185,12 @@ sim::Task<FsResult<std::vector<fs::DirEntry>>> DfsClient::readdir(const fs::Path
   co_return std::move(resp.entries);
 }
 
-sim::Task<FsResult<std::uint64_t>> DfsClient::write(const fs::Path& path, std::uint64_t offset,
-                                                    std::uint64_t length, obs::SpanId span) {
-  obs::Span op(span != obs::kNoSpan ? sim_.tracer() : nullptr, "dfs.write", span, node_.value);
-  auto attr = co_await resolve(path, /*fresh_leaf=*/false, op.id());
-  if (!attr) co_return fs::fail(attr.error());
-  if (attr->is_dir()) co_return fs::fail(FsError::is_a_directory);
+std::vector<sim::Task<DataResponse>> DfsClient::chunk_calls(DataOp kind, fs::Ino ino,
+                                                            std::uint64_t offset,
+                                                            std::uint64_t length,
+                                                            obs::SpanId span) {
   const std::uint64_t chunk_bytes = cluster_.config().chunk_bytes;
-
-  std::vector<sim::Task<DataResponse>> transfers;
+  std::vector<sim::Task<DataResponse>> calls;
   std::uint64_t pos = offset;
   const std::uint64_t end = offset + length;
   while (pos < end) {
@@ -198,20 +198,26 @@ sim::Task<FsResult<std::uint64_t>> DfsClient::write(const fs::Path& path, std::u
     const std::uint64_t in_chunk = pos % chunk_bytes;
     const std::uint64_t take = std::min(end - pos, chunk_bytes - in_chunk);
     DataRequest req;
-    req.op = DataOp::write;
-    req.ino = attr->ino;
+    req.op = kind;
+    req.ino = ino;
     req.chunk = chunk;
     req.offset_in_chunk = static_cast<std::uint32_t>(in_chunk);
     req.length = static_cast<std::uint32_t>(take);
-    transfers.push_back(data_call(std::move(req), op.id()));
+    calls.push_back(data_call(std::move(req), span));
     pos += take;
   }
-  const auto responses = co_await sim::when_all_values(sim_, std::move(transfers));
-  std::uint64_t written = 0;
-  for (const auto& r : responses) {
-    if (r.status != FsError::ok) co_return fs::fail(r.status);
-    written += r.transferred;
-  }
+  return calls;
+}
+
+sim::Task<FsResult<std::uint64_t>> DfsClient::write(const fs::Path& path, std::uint64_t offset,
+                                                    std::uint64_t length, obs::SpanId span) {
+  obs::Span op(span != obs::kNoSpan ? sim_.tracer() : nullptr, "dfs.write", span, node_.value);
+  auto attr = co_await resolve(path, /*fresh_leaf=*/false, op.id());
+  if (!attr) co_return fs::fail(attr.error());
+  if (attr->is_dir()) co_return fs::fail(FsError::is_a_directory);
+  const auto written = transferred(co_await sim::when_all_values(
+      sim_, chunk_calls(DataOp::write, attr->ino, offset, length, op.id())));
+  if (!written) co_return written;
   // Size propagation to the MDS (the real client piggybacks this on close).
   MetaRequest size_req;
   size_req.op = MetaOp::set_size;
@@ -231,31 +237,9 @@ sim::Task<FsResult<std::uint64_t>> DfsClient::read(const fs::Path& path, std::ui
   auto attr = co_await resolve(path, /*fresh_leaf=*/false, op.id());
   if (!attr) co_return fs::fail(attr.error());
   if (attr->is_dir()) co_return fs::fail(FsError::is_a_directory);
-  const std::uint64_t chunk_bytes = cluster_.config().chunk_bytes;
-
-  std::vector<sim::Task<DataResponse>> transfers;
-  std::uint64_t pos = offset;
-  const std::uint64_t end = offset + length;
-  while (pos < end) {
-    const std::uint64_t chunk = pos / chunk_bytes;
-    const std::uint64_t in_chunk = pos % chunk_bytes;
-    const std::uint64_t take = std::min(end - pos, chunk_bytes - in_chunk);
-    DataRequest req;
-    req.op = DataOp::read;
-    req.ino = attr->ino;
-    req.chunk = chunk;
-    req.offset_in_chunk = static_cast<std::uint32_t>(in_chunk);
-    req.length = static_cast<std::uint32_t>(take);
-    transfers.push_back(data_call(std::move(req), op.id()));
-    pos += take;
-  }
-  const auto responses = co_await sim::when_all_values(sim_, std::move(transfers));
-  std::uint64_t bytes = 0;
-  for (const auto& r : responses) {
-    if (r.status != FsError::ok) co_return fs::fail(r.status);
-    bytes += r.transferred;
-  }
-  op.finish("ok");
+  const auto bytes = transferred(co_await sim::when_all_values(
+      sim_, chunk_calls(DataOp::read, attr->ino, offset, length, op.id())));
+  if (bytes) op.finish("ok");
   co_return bytes;
 }
 

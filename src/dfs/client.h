@@ -44,13 +44,17 @@ class DfsClient {
   // Metadata operations (all paths absolute & canonical). The optional
   // trailing `span` is the caller's tracing context: traced ops get a
   // "dfs.<op>" child span covering resolution + the MDS round trips.
+  // lint-allow: coro-param-ref plain function: copies the path into make_entry before returning
   sim::Task<fs::FsResult<fs::InodeAttr>> mkdir(const fs::Path& path, fs::FileMode mode,
                                                obs::SpanId span = obs::kNoSpan);
+  // lint-allow: coro-param-ref plain function: copies the path into make_entry before returning
   sim::Task<fs::FsResult<fs::InodeAttr>> create(const fs::Path& path, fs::FileMode mode,
                                                 obs::SpanId span = obs::kNoSpan);
   sim::Task<fs::FsResult<fs::InodeAttr>> getattr(const fs::Path& path,
                                                  obs::SpanId span = obs::kNoSpan);
+  // lint-allow: coro-param-ref plain function: copies the path into remove_entry before returning
   sim::Task<fs::FsResult<void>> unlink(const fs::Path& path, obs::SpanId span = obs::kNoSpan);
+  // lint-allow: coro-param-ref plain function: copies the path into remove_entry before returning
   sim::Task<fs::FsResult<void>> rmdir(const fs::Path& path, obs::SpanId span = obs::kNoSpan);
   sim::Task<fs::FsResult<std::vector<fs::DirEntry>>> readdir(const fs::Path& path,
                                                              obs::SpanId span = obs::kNoSpan);
@@ -94,6 +98,17 @@ class DfsClient {
   /// Resolve, requiring the result to be a directory.
   sim::Task<fs::FsResult<fs::InodeAttr>> resolve_dir(const fs::Path& path,
                                                      obs::SpanId span = obs::kNoSpan);
+
+  /// mkdir and create: one MDS create of `type` under the resolved parent.
+  sim::Task<fs::FsResult<fs::InodeAttr>> make_entry(fs::Path path, fs::FileType type,
+                                                    fs::FileMode mode, obs::SpanId span);
+  /// unlink and rmdir (`op_kind`): one MDS removal under the resolved parent.
+  sim::Task<fs::FsResult<void>> remove_entry(fs::Path path, MetaOp op_kind, obs::SpanId span);
+
+  /// read and write: one data_call per chunk that [offset, offset + length)
+  /// touches.
+  std::vector<sim::Task<DataResponse>> chunk_calls(DataOp kind, fs::Ino ino, std::uint64_t offset,
+                                                   std::uint64_t length, obs::SpanId span);
 
   /// The client's two RPC helpers: a transport failure comes back as a
   /// response with status FsError::io (the MDS and storage servers never

@@ -15,8 +15,6 @@ enum class FsError {
   is_a_directory,  // EISDIR
   not_empty,       // ENOTEMPTY
   permission,      // EACCES
-  stale,           // cached handle no longer valid
-  busy,            // retryable conflict (CAS raced, lease held, ...)
   io,              // backend or network failure
   no_space,        // cache or device full
   invalid,         // malformed path / argument
@@ -32,8 +30,6 @@ constexpr std::string_view to_string(FsError e) {
     case FsError::is_a_directory: return "is_a_directory";
     case FsError::not_empty: return "not_empty";
     case FsError::permission: return "permission";
-    case FsError::stale: return "stale";
-    case FsError::busy: return "busy";
     case FsError::io: return "io";
     case FsError::no_space: return "no_space";
     case FsError::invalid: return "invalid";

@@ -8,8 +8,6 @@
 // paper's figures emerge. Provenance notes inline.
 #pragma once
 
-#include <cstddef>
-
 #include "sim/time.h"
 
 namespace pacon::harness {
@@ -17,10 +15,6 @@ namespace pacon::harness {
 using namespace sim::literals;
 
 struct Calibration {
-  // Cluster shape (Section IV setup).
-  std::size_t client_nodes = 16;
-  int clients_per_node = 20;
-
   // Interconnect: TH-Express style fabric driven through a sockets-like
   // software stack -- ~50us small-message RTT (half each way).
   sim::SimDuration net_one_way = 25_us;
@@ -32,16 +26,9 @@ struct Calibration {
   // saturates near ~80 kops/s of writes; reads are cheaper.
   sim::SimDuration mds_write_cpu = 95_us;
   sim::SimDuration mds_read_cpu = 18_us;
-
-  // Memcached-class cache daemon: ~1.5us of service per op.
-  sim::SimDuration kv_op_service = 1'500_ns;
-
-  // Measurement protocol: warm up, then measure a fixed virtual window.
-  sim::SimDuration warmup = 50_ms;
-  sim::SimDuration measure_window = 400_ms;
 };
 
-/// The defaults above; benches print these with their output.
+/// The defaults above, for code that reads a constant without a testbed.
 inline const Calibration& default_calibration() {
   static const Calibration cal{};
   return cal;

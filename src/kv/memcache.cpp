@@ -33,7 +33,7 @@ KvResponse MemCacheServer::apply(const KvRequest& req) {
       auto it = items_.find(probe(req));
       if (it == items_.end()) {
         misses_.add();
-        return KvResponse{KvStatus::not_found, {}, 0, 0};
+        return KvResponse{KvStatus::not_found, {}, 0};
       }
       hits_.add();
       Item* item = it->item.get();
@@ -41,34 +41,30 @@ KvResponse MemCacheServer::apply(const KvRequest& req) {
         lru_unlink(item);
         lru_push_front(item);
       }
-      return KvResponse{KvStatus::ok, std::string(item->value()), item->cas, item->flags};
+      return KvResponse{KvStatus::ok, std::string(item->value()), item->cas};
     }
     case Op::set:
-      return store(req, /*must_exist=*/false, /*must_not_exist=*/false, /*check_cas=*/false);
     case Op::add:
-      return store(req, /*must_exist=*/false, /*must_not_exist=*/true, /*check_cas=*/false);
-    case Op::replace:
-      return store(req, /*must_exist=*/true, /*must_not_exist=*/false, /*check_cas=*/false);
     case Op::cas:
-      return store(req, /*must_exist=*/true, /*must_not_exist=*/false, /*check_cas=*/true);
+      return store(req);
     case Op::del: {
       auto it = items_.find(probe(req));
-      if (it == items_.end()) return KvResponse{KvStatus::not_found, {}, 0, 0};
+      if (it == items_.end()) return KvResponse{KvStatus::not_found, {}, 0};
       erase_item(it);
-      return KvResponse{KvStatus::ok, {}, 0, 0};
+      return KvResponse{KvStatus::ok, {}, 0};
     }
   }
-  return KvResponse{KvStatus::not_found, {}, 0, 0};
+  return KvResponse{KvStatus::not_found, {}, 0};
 }
 
-KvResponse MemCacheServer::store(const KvRequest& req, bool must_exist, bool must_not_exist,
-                                 bool check_cas) {
+KvResponse MemCacheServer::store(const KvRequest& req) {
+  using Op = KvRequest::Op;
   const PrehashedKey key = probe(req);
   auto it = items_.find(key);
-  if (must_exist && it == items_.end()) return KvResponse{KvStatus::not_found, {}, 0, 0};
-  if (must_not_exist && it != items_.end()) return KvResponse{KvStatus::exists, {}, 0, 0};
-  if (check_cas && it->item->cas != req.cas) {
-    return KvResponse{KvStatus::cas_mismatch, {}, it->item->cas, it->item->flags};
+  if (req.op == Op::add && it != items_.end()) return KvResponse{KvStatus::exists, {}, 0};
+  if (req.op == Op::cas) {
+    if (it == items_.end()) return KvResponse{KvStatus::not_found, {}, 0};
+    if (it->item->cas != req.cas) return KvResponse{KvStatus::cas_mismatch, {}, it->item->cas};
   }
 
   const std::uint64_t new_size = item_footprint(req.key.size(), req.value.size());
@@ -76,20 +72,20 @@ KvResponse MemCacheServer::store(const KvRequest& req, bool must_exist, bool mus
       it == items_.end() ? 0 : item_footprint(it->item->key_len, it->item->value_len);
   // Refuse before destroying the old value if eviction cannot make room.
   if (bytes_used_ - old_size + new_size > config_.capacity_bytes && !config_.lru_eviction) {
-    return KvResponse{KvStatus::no_space, {}, 0, 0};
+    return KvResponse{KvStatus::no_space, {}, 0};
   }
   // Updates are erase + fresh insert: the old footprint is released first so
   // LRU eviction can never pick the key being written as its own victim.
   if (it != items_.end()) erase_item(it);
   if (bytes_used_ + new_size > config_.capacity_bytes && !make_room(new_size)) {
-    return KvResponse{KvStatus::no_space, {}, 0, 0};
+    return KvResponse{KvStatus::no_space, {}, 0};
   }
 
   bytes_used_ += new_size;
   Item* item = items_.insert(Slot{key.hash, make_item(req, next_cas_++)}).first->item.get();
   if (config_.lru_eviction) lru_push_front(item);
   stores_.add();
-  return KvResponse{KvStatus::ok, {}, item->cas, item->flags};
+  return KvResponse{KvStatus::ok, {}, item->cas};
 }
 
 MemCacheServer::ItemPtr MemCacheServer::make_item(const KvRequest& req, std::uint64_t cas) const {
@@ -98,7 +94,6 @@ MemCacheServer::ItemPtr MemCacheServer::make_item(const KvRequest& req, std::uin
                                 : sizeof(Item) + req.key.size() + req.value.size();
   ItemPtr item(new (::operator new(bytes))
                    Item{.cas = cas,
-                        .flags = req.flags,
                         .key_len = static_cast<std::uint32_t>(req.key.size()),
                         .value_len = static_cast<std::uint32_t>(req.value.size())});
   char* out = reinterpret_cast<char*>(item.get() + 1);
@@ -202,7 +197,6 @@ constexpr const char* span_name(KvRequest::Op op) {
     case KvRequest::Op::get: return "kv.get";
     case KvRequest::Op::set: return "kv.set";
     case KvRequest::Op::add: return "kv.add";
-    case KvRequest::Op::replace: return "kv.replace";
     case KvRequest::Op::del: return "kv.del";
     case KvRequest::Op::cas: return "kv.cas";
   }
@@ -244,7 +238,7 @@ sim::Task<KvResponse> MemCacheCluster::route(net::NodeId from, KvRequest req,
   }
   ++unreachable_requests_;
   span.finish("unreachable");
-  co_return KvResponse{KvStatus::unreachable, {}, 0, 0};
+  co_return KvResponse{KvStatus::unreachable, {}, 0};
 }
 
 // lint-allow: coro-param-ref plain function: copies the request into the call before returning
@@ -257,38 +251,27 @@ sim::Task<net::RpcResult<KvResponse>> MemCacheCluster::send_to(const KvRequest& 
 
 sim::Task<KvResponse> MemCacheCluster::get(net::NodeId from, std::string key,
                                            std::uint64_t key_hash, obs::SpanId span) {
-  return route(from, KvRequest{KvRequest::Op::get, std::move(key), {}, 0, 0, key_hash}, span);
+  return route(from, KvRequest{KvRequest::Op::get, std::move(key), {}, 0, key_hash}, span);
 }
 sim::Task<KvResponse> MemCacheCluster::set(net::NodeId from, std::string key, std::string value,
-                                           std::uint32_t flags, std::uint64_t key_hash,
-                                           obs::SpanId span) {
-  return route(from,
-               KvRequest{KvRequest::Op::set, std::move(key), std::move(value), 0, flags, key_hash},
+                                           std::uint64_t key_hash, obs::SpanId span) {
+  return route(from, KvRequest{KvRequest::Op::set, std::move(key), std::move(value), 0, key_hash},
                span);
 }
 sim::Task<KvResponse> MemCacheCluster::add(net::NodeId from, std::string key, std::string value,
-                                           std::uint32_t flags, std::uint64_t key_hash,
-                                           obs::SpanId span) {
-  return route(from,
-               KvRequest{KvRequest::Op::add, std::move(key), std::move(value), 0, flags, key_hash},
-               span);
-}
-sim::Task<KvResponse> MemCacheCluster::replace(net::NodeId from, std::string key,
-                                               std::string value, std::uint32_t flags,
-                                               std::uint64_t key_hash, obs::SpanId span) {
-  return route(from, KvRequest{KvRequest::Op::replace, std::move(key), std::move(value), 0, flags,
-                               key_hash},
+                                           std::uint64_t key_hash, obs::SpanId span) {
+  return route(from, KvRequest{KvRequest::Op::add, std::move(key), std::move(value), 0, key_hash},
                span);
 }
 sim::Task<KvResponse> MemCacheCluster::del(net::NodeId from, std::string key,
                                            std::uint64_t key_hash, obs::SpanId span) {
-  return route(from, KvRequest{KvRequest::Op::del, std::move(key), {}, 0, 0, key_hash}, span);
+  return route(from, KvRequest{KvRequest::Op::del, std::move(key), {}, 0, key_hash}, span);
 }
 sim::Task<KvResponse> MemCacheCluster::cas(net::NodeId from, std::string key, std::string value,
-                                           std::uint64_t version, std::uint32_t flags,
-                                           std::uint64_t key_hash, obs::SpanId span) {
-  return route(from, KvRequest{KvRequest::Op::cas, std::move(key), std::move(value), version,
-                               flags, key_hash},
+                                           std::uint64_t version, std::uint64_t key_hash,
+                                           obs::SpanId span) {
+  return route(from,
+               KvRequest{KvRequest::Op::cas, std::move(key), std::move(value), version, key_hash},
                span);
 }
 

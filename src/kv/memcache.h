@@ -1,8 +1,9 @@
 // In-memory KV cache server and cluster client (Memcached substitute).
 //
-// Implements the subset of Memcached semantics Pacon depends on:
-//   get / set / add / replace / del, versioned compare-and-swap (CAS),
-//   per-item flags, byte-accurate memory accounting, optional LRU eviction.
+// Implements the Memcached semantics this repo uses: get / add / del and
+// versioned compare-and-swap (CAS) for Pacon (paper Table I), set for the
+// memaslap-style load, byte-accurate memory accounting, optional LRU
+// eviction.
 // Every server is reachable over the simulated fabric through an RPC service
 // whose worker pool and service time model a real cache daemon.
 //
@@ -32,7 +33,7 @@ using namespace sim::literals;
 
 enum class KvStatus : std::uint8_t {
   ok,
-  not_found,      // get/replace/del/cas on a missing key
+  not_found,      // get/del/cas on a missing key
   exists,         // add on a present key
   cas_mismatch,   // cas with a stale version
   no_space,       // store full and eviction disabled
@@ -62,11 +63,10 @@ struct KvConfig {
 };
 
 struct KvRequest {
-  enum class Op : std::uint8_t { get, set, add, replace, del, cas } op = Op::get;
+  enum class Op : std::uint8_t { get, set, add, del, cas } op = Op::get;
   std::string key;
   std::string value;
   std::uint64_t cas = 0;
-  std::uint32_t flags = 0;
   /// Pre-computed sim::Rng::hash(key), or 0 for "unknown". Callers that hold
   /// a fs::Path pass its cached hash so neither the ring router nor the
   /// server's item table rehashes the key string.
@@ -84,7 +84,6 @@ struct KvResponse {
   KvStatus status = KvStatus::ok;
   std::string value;
   std::uint64_t cas = 0;
-  std::uint32_t flags = 0;
 };
 
 /// One cache daemon on one node.
@@ -112,8 +111,10 @@ class MemCacheServer {
   std::uint64_t evictions() const { return evictions_; }
   const KvConfig& config() const { return config_; }
 
-  /// Enumerates keys with a given prefix (management/testing aid; the real
-  /// daemon lacks this, Pacon never calls it on the data path).
+  /// Enumerates keys with a given prefix. The real daemon lacks this; the
+  /// region calls it to clean a removed directory's cached subtree (rmdir),
+  /// to evict and to restore, and the consistency audit to snapshot the
+  /// cache. No create, lookup or write calls it.
   std::vector<std::string> keys_with_prefix(const std::string& prefix) const;
 
   /// Drops every item (cold restart). A server rejoining after a suspected
@@ -128,7 +129,6 @@ class MemCacheServer {
   /// cache runs without LRU, so its items carry no links at all.
   struct Item {
     std::uint64_t cas;
-    std::uint32_t flags;
     std::uint32_t key_len;
     std::uint32_t value_len;
 
@@ -194,8 +194,9 @@ class MemCacheServer {
   void lru_unlink(Item* item);
   bool make_room(std::uint64_t need);
   void erase_item(ItemTable::iterator it);
-  KvResponse store(const KvRequest& req, bool must_exist, bool must_not_exist,
-                   bool check_cas);
+  /// set, add and cas: an add needs the key absent, a cas the key present
+  /// at version `req.cas`.
+  KvResponse store(const KvRequest& req);
 
   sim::Simulation& sim_;
   net::NodeId node_;
@@ -258,19 +259,14 @@ class MemCacheCluster {
   sim::Task<KvResponse> get(net::NodeId from, std::string key, std::uint64_t key_hash = 0,
                             obs::SpanId span = obs::kNoSpan);
   sim::Task<KvResponse> set(net::NodeId from, std::string key, std::string value,
-                            std::uint32_t flags = 0, std::uint64_t key_hash = 0,
-                            obs::SpanId span = obs::kNoSpan);
+                            std::uint64_t key_hash = 0, obs::SpanId span = obs::kNoSpan);
   sim::Task<KvResponse> add(net::NodeId from, std::string key, std::string value,
-                            std::uint32_t flags = 0, std::uint64_t key_hash = 0,
-                            obs::SpanId span = obs::kNoSpan);
-  sim::Task<KvResponse> replace(net::NodeId from, std::string key, std::string value,
-                                std::uint32_t flags = 0, std::uint64_t key_hash = 0,
-                                obs::SpanId span = obs::kNoSpan);
+                            std::uint64_t key_hash = 0, obs::SpanId span = obs::kNoSpan);
   sim::Task<KvResponse> del(net::NodeId from, std::string key, std::uint64_t key_hash = 0,
                             obs::SpanId span = obs::kNoSpan);
   sim::Task<KvResponse> cas(net::NodeId from, std::string key, std::string value,
-                            std::uint64_t version, std::uint32_t flags = 0,
-                            std::uint64_t key_hash = 0, obs::SpanId span = obs::kNoSpan);
+                            std::uint64_t version, std::uint64_t key_hash = 0,
+                            obs::SpanId span = obs::kNoSpan);
 
   std::uint64_t total_bytes_used() const;
   std::uint64_t total_items() const;

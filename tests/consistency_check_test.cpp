@@ -57,7 +57,7 @@ void edit_cached(ConsistentRegion& region, const std::string& path, Edit edit) {
     auto meta = decode_meta(got.value);
     ASSERT_TRUE(meta.has_value()) << path;
     edit(*meta);
-    server.apply(kv::KvRequest{kv::KvRequest::Op::set, path, encode_meta(*meta), 0, got.flags});
+    server.apply(kv::KvRequest{kv::KvRequest::Op::set, path, encode_meta(*meta), 0, 0});
     return;
   }
   FAIL() << path << " is not cached";

@@ -185,7 +185,7 @@ TEST(Barrier, RmdirWaitsForAllNodesToDrain) {
       }(*cs[i], i));
     }
     procs.push_back([](Pacon& p) -> Task<> {
-      co_await p.region().drain(0);  // let some creates queue first? no: fire mid-storm
+      co_await p.region().drain();  // let some creates queue first? no: fire mid-storm
       (void)co_await p.rmdir(Path::parse("/app/victim"));
     }(*cs[3]));
     co_await sim::when_all(s, std::move(procs));

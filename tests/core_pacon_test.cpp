@@ -315,19 +315,52 @@ TEST(Pacon, MergedRegionIsReadableNotWritable) {
   World w;
   w.seed_workspace("/app1");
   w.seed_workspace("/app2");
+  // Both regions span both nodes, so app1 (node 0) is a member of app2's
+  // region and may run its barrier for a readdir.
   auto a = w.make_client(0, "/app1");
-  PaconConfig cfg2;
-  cfg2.nodes = {net::NodeId{1}};
-  auto b = w.make_client(1, "/app2", cfg2);
+  auto b = w.make_client(1, "/app2");
   sim::run_task(w.sim, [](Pacon& app1, Pacon& app2) -> Task<> {
-    (void)co_await app2.create(Path::parse("/app2/data"), fs::FileMode::file_default());
+    const Path data = Path::parse("/app2/data");
+    const Path sub = Path::parse("/app2/sub");
+    const Path fresh_file = Path::parse("/app2/mine");
+    const Path fresh_dir = Path::parse("/app2/newdir");
+    EXPECT_TRUE((co_await app2.create(data, fs::FileMode::file_default())).has_value());
+    EXPECT_EQ((co_await app2.write(data, 0, 100)).value_or(0), 100u);
+    EXPECT_TRUE((co_await app2.mkdir(sub, fs::FileMode::dir_default())).has_value());
     EXPECT_TRUE((co_await app1.merge_region(Path::parse("/app2"))).has_value());
-    // Consistent read of the other workspace straight from its cache.
-    auto got = co_await app1.getattr(Path::parse("/app2/data"));
+
+    // Consistent reads of the other workspace, served by its region.
+    auto got = co_await app1.getattr(data);
     EXPECT_TRUE(got.has_value());
-    // Read-only: mutations are rejected (Section III.D.4).
-    auto denied = co_await app1.create(Path::parse("/app2/mine"), fs::FileMode::file_default());
-    EXPECT_EQ(denied.error(), FsError::permission);
+    EXPECT_EQ(got ? got->size : 0, 100u);
+    auto listing = co_await app1.readdir(Path::parse("/app2"));
+    EXPECT_TRUE(listing.has_value());
+    EXPECT_EQ(listing ? listing->size() : 0, 2u);
+    EXPECT_EQ((co_await app1.read(data, 0, 100)).value_or(0), 100u);
+
+    // Read-only: every mutation is rejected (Section III.D.4) ...
+    ConsistentRegion& other = app2.region();
+    const std::uint64_t items = other.cache().total_items();
+    const std::uint64_t bytes = other.cache().total_bytes_used();
+    const std::uint64_t pending = other.pending_commits();
+    EXPECT_EQ((co_await app1.mkdir(fresh_dir, fs::FileMode::dir_default())).error(),
+              FsError::permission);
+    EXPECT_EQ((co_await app1.create(fresh_file, fs::FileMode::file_default())).error(),
+              FsError::permission);
+    EXPECT_EQ((co_await app1.remove(data)).error(), FsError::permission);
+    EXPECT_EQ((co_await app1.rmdir(sub)).error(), FsError::permission);
+    EXPECT_EQ((co_await app1.write(data, 0, 4096)).error(), FsError::permission);
+    EXPECT_EQ((co_await app1.fsync(data)).error(), FsError::permission);
+
+    // ... and leaves the region as it was.
+    EXPECT_EQ(other.cache().total_items(), items);
+    EXPECT_EQ(other.cache().total_bytes_used(), bytes);
+    EXPECT_EQ(other.pending_commits(), pending);
+    auto still = co_await app2.getattr(data);
+    EXPECT_EQ(still ? still->size : 0, 100u);
+    EXPECT_TRUE((co_await app2.getattr(sub)).has_value());
+    EXPECT_EQ((co_await app2.getattr(fresh_file)).error(), FsError::not_found);
+    EXPECT_EQ((co_await app2.getattr(fresh_dir)).error(), FsError::not_found);
   }(*a, *b));
 }
 

@@ -10,6 +10,7 @@
 
 #include "dfs/client.h"
 #include "dfs/cluster.h"
+#include "obs/trace.h"
 #include "sim/combinators.h"
 #include "sim/simulation.h"
 
@@ -303,6 +304,39 @@ TEST(DfsClient, DentryCacheScriptedSequenceIsPinned) {
   };
   EXPECT_EQ(counts, expected);
   EXPECT_EQ(f.sim.now(), 2'002'432'213u);
+}
+
+TEST(DfsClient, EachTracedOpOpensOneOkSpanNamedAfterIt) {
+  Fixture f;
+  obs::Tracer tracer(f.sim);
+  f.sim.set_tracer(&tracer);
+  const obs::SpanId root = tracer.begin_span("test");
+  // Three chunks' worth, so the data ops fan out to several storage calls.
+  const std::uint64_t bytes = 2 * f.cluster.config().chunk_bytes + 100;
+  sim::run_task(f.sim, [](DfsClient& c, obs::SpanId parent, std::uint64_t n) -> Task<> {
+    const Path dir = Path::parse("/d");
+    const Path file = Path::parse("/d/f");
+    EXPECT_TRUE((co_await c.mkdir(dir, fs::FileMode::dir_default(), parent)).has_value());
+    EXPECT_TRUE((co_await c.create(file, fs::FileMode::file_default(), parent)).has_value());
+    EXPECT_EQ((co_await c.write(file, 0, n, parent)).value_or(0), n);
+    EXPECT_EQ((co_await c.read(file, 0, n, parent)).value_or(0), n);
+    EXPECT_TRUE((co_await c.unlink(file, parent)).has_value());
+    EXPECT_TRUE((co_await c.rmdir(dir, parent)).has_value());
+  }(f.client, root, bytes));
+  f.sim.set_tracer(nullptr);
+  tracer.end_span(root);
+
+  std::vector<std::string> dfs_spans;
+  for (const obs::SpanRecord& span : tracer.spans()) {
+    if (!span.name.starts_with("dfs.")) continue;
+    dfs_spans.push_back(span.name);
+    EXPECT_EQ(span.parent, root) << span.name;
+    EXPECT_FALSE(span.open) << span.name;
+    EXPECT_EQ(span.status, "ok") << span.name;
+  }
+  const std::vector<std::string> expected = {"dfs.mkdir", "dfs.create", "dfs.write",
+                                             "dfs.read",  "dfs.unlink", "dfs.rmdir"};
+  EXPECT_EQ(dfs_spans, expected);
 }
 
 TEST(DfsClient, DeepPathsCostMoreLookups) {

@@ -1,4 +1,4 @@
-// Tests for the Memcached substitute: semantics (get/set/add/replace/del,
+// Tests for the Memcached substitute: semantics (get/set/add/del,
 // CAS), memory accounting, LRU eviction, and cluster routing over the ring.
 #include <gtest/gtest.h>
 
@@ -26,19 +26,18 @@ struct Fixture {
 };
 
 KvRequest make(KvRequest::Op op, std::string key, std::string value = {},
-               std::uint64_t cas = 0, std::uint32_t flags = 0) {
-  return KvRequest{op, std::move(key), std::move(value), cas, flags};
+               std::uint64_t cas = 0) {
+  return KvRequest{op, std::move(key), std::move(value), cas, 0};
 }
 
 TEST(MemCacheServer, SetThenGet) {
   Fixture f;
   MemCacheServer server(f.sim, f.fabric, NodeId{0});
-  auto r = server.apply(make(KvRequest::Op::set, "k", "v", 0, 42));
+  auto r = server.apply(make(KvRequest::Op::set, "k", "v"));
   EXPECT_EQ(r.status, KvStatus::ok);
   auto g = server.apply(make(KvRequest::Op::get, "k"));
   EXPECT_EQ(g.status, KvStatus::ok);
   EXPECT_EQ(g.value, "v");
-  EXPECT_EQ(g.flags, 42u);
   EXPECT_EQ(g.cas, r.cas);
 }
 
@@ -54,15 +53,6 @@ TEST(MemCacheServer, AddOnlyWhenAbsent) {
   EXPECT_EQ(server.apply(make(KvRequest::Op::add, "k", "v1")).status, KvStatus::ok);
   EXPECT_EQ(server.apply(make(KvRequest::Op::add, "k", "v2")).status, KvStatus::exists);
   EXPECT_EQ(server.apply(make(KvRequest::Op::get, "k")).value, "v1");
-}
-
-TEST(MemCacheServer, ReplaceOnlyWhenPresent) {
-  Fixture f;
-  MemCacheServer server(f.sim, f.fabric, NodeId{0});
-  EXPECT_EQ(server.apply(make(KvRequest::Op::replace, "k", "v")).status, KvStatus::not_found);
-  server.apply(make(KvRequest::Op::set, "k", "v1"));
-  EXPECT_EQ(server.apply(make(KvRequest::Op::replace, "k", "v2")).status, KvStatus::ok);
-  EXPECT_EQ(server.apply(make(KvRequest::Op::get, "k")).value, "v2");
 }
 
 TEST(MemCacheServer, DeleteRemovesItem) {
@@ -237,14 +227,13 @@ TEST(MemCacheServer, DefaultLruServerAccountsAndEvictsInRecencyOrder) {
 
   std::uint64_t expected = 0;
   for (int i = 0; i < 7; ++i) {
-    ASSERT_EQ(server.apply(make(KvRequest::Op::set, key(i), value(i), 0, i)).status,
-              KvStatus::ok);
+    ASSERT_EQ(server.apply(make(KvRequest::Op::set, key(i), value(i))).status, KvStatus::ok);
     expected += key(i).size() + value(i).size() + 56;
     EXPECT_EQ(server.bytes_used(), expected) << i;
   }
   // Recency now runs 1, 2, 3, 4, 5, 6, 0 from coldest to hottest.
   ASSERT_EQ(server.apply(make(KvRequest::Op::get, key(0))).value, value(0));
-  ASSERT_EQ(server.apply(make(KvRequest::Op::set, key(7), value(7), 0, 7)).status, KvStatus::ok);
+  ASSERT_EQ(server.apply(make(KvRequest::Op::set, key(7), value(7))).status, KvStatus::ok);
   EXPECT_EQ(server.evictions(), 1u);
   EXPECT_EQ(server.apply(make(KvRequest::Op::get, key(1))).status, KvStatus::not_found);
   expected += key(7).size() + value(7).size() + 56 - key(1).size() - value(1).size() - 56;
@@ -262,7 +251,6 @@ TEST(MemCacheServer, DefaultLruServerAccountsAndEvictsInRecencyOrder) {
   for (int i : {0, 4, 5, 6, 7}) {
     const KvResponse got = server.apply(make(KvRequest::Op::get, key(i)));
     EXPECT_EQ(got.value, value(i)) << i;
-    EXPECT_EQ(got.flags, static_cast<std::uint32_t>(i)) << i;
   }
   EXPECT_EQ(server.item_count(), 6u);
 
