@@ -18,7 +18,6 @@ int main() {
   net::Fabric fabric(sim, net::FabricConfig{});
   dfs::DfsCluster beegfs(sim, fabric);
   core::RegionRegistry registry(sim, fabric, beegfs);
-  core::PaconRuntime rt{sim, fabric, beegfs, registry};
 
   dfs::DfsClient admin(sim, beegfs, net::NodeId{999});
   sim::run_task(sim, [](dfs::DfsClient& io) -> sim::Task<> {
@@ -27,17 +26,17 @@ int main() {
   }(admin));
 
   // Two applications on disjoint node sets and workspaces.
-  core::PaconConfig producer_cfg;
-  producer_cfg.workspace = Path::parse("/producer");
+  core::RegionConfig producer_cfg;
+  producer_cfg.root = Path::parse("/producer");
   producer_cfg.nodes = {net::NodeId{0}, net::NodeId{1}};
   producer_cfg.creds = {1001, 1001};
-  core::Pacon producer(rt, net::NodeId{0}, producer_cfg);
+  core::Pacon producer(registry, net::NodeId{0}, producer_cfg);
 
-  core::PaconConfig consumer_cfg;
-  consumer_cfg.workspace = Path::parse("/consumer");
+  core::RegionConfig consumer_cfg;
+  consumer_cfg.root = Path::parse("/consumer");
   consumer_cfg.nodes = {net::NodeId{2}, net::NodeId{3}};
   consumer_cfg.creds = {1002, 1002};
-  core::Pacon consumer(rt, net::NodeId{2}, consumer_cfg);
+  core::Pacon consumer(registry, net::NodeId{2}, consumer_cfg);
 
   sim::run_task(sim, [](core::Pacon& prod, core::Pacon& cons) -> sim::Task<> {
     // Producer emits a batch of small result files (metadata + inline data).

@@ -38,22 +38,21 @@ int main() {
   net::Fabric fabric(sim, net::FabricConfig{});
   dfs::DfsCluster beegfs(sim, fabric);
   core::RegionRegistry registry(sim, fabric, beegfs);
-  core::PaconRuntime rt{sim, fabric, beegfs, registry};
 
   dfs::DfsClient admin(sim, beegfs, net::NodeId{999});
   sim::run_task(sim, [](dfs::DfsClient& io) -> sim::Task<> {
     (void)co_await io.mkdir(Path::parse("/ckpt"), fs::FileMode{0x7, 0x7, 0x7});
   }(admin));
 
-  core::PaconConfig cfg;
-  cfg.workspace = Path::parse("/ckpt");
+  core::RegionConfig cfg;
+  cfg.root = Path::parse("/ckpt");
   for (int n = 0; n < kNodes; ++n) cfg.nodes.push_back(net::NodeId{static_cast<uint32_t>(n)});
   cfg.creds = {1000, 1000};
 
   std::vector<std::unique_ptr<core::Pacon>> ranks;
   for (int r = 0; r < kNodes * kRanksPerNode; ++r) {
     ranks.push_back(std::make_unique<core::Pacon>(
-        rt, net::NodeId{static_cast<uint32_t>(r % kNodes)}, cfg));
+        registry, net::NodeId{static_cast<uint32_t>(r % kNodes)}, cfg));
   }
 
   std::uint64_t good_ckpt = 0;

@@ -18,7 +18,6 @@ int main() {
   net::Fabric fabric(sim, net::FabricConfig{});
   dfs::DfsCluster beegfs(sim, fabric);
   core::RegionRegistry registry(sim, fabric, beegfs);
-  core::PaconRuntime rt{sim, fabric, beegfs, registry};
 
   // 2. The administrator provisions a workspace for the application.
   dfs::DfsClient admin(sim, beegfs, net::NodeId{999});
@@ -28,12 +27,12 @@ int main() {
 
   // 3. The application initializes Pacon with its workspace and nodes
   //    (paper Section III.B); here: one region over two client nodes.
-  core::PaconConfig cfg;
-  cfg.workspace = Path::parse("/scratch");
+  core::RegionConfig cfg;
+  cfg.root = Path::parse("/scratch");
   cfg.nodes = {net::NodeId{0}, net::NodeId{1}};
   cfg.creds = {1000, 1000};
-  core::Pacon rank0(rt, net::NodeId{0}, cfg);
-  core::Pacon rank1(rt, net::NodeId{1}, cfg);
+  core::Pacon rank0(registry, net::NodeId{0}, cfg);
+  core::Pacon rank1(registry, net::NodeId{1}, cfg);
 
   // 4. Metadata operations inside the workspace run at cache speed and are
   //    strongly consistent between the two ranks.

@@ -9,6 +9,10 @@ namespace pacon::core {
 using fs::FsError;
 using fs::FsResult;
 
+/// Capacity and lifetime of a client's parent hints (Pacon::parent_hints_).
+constexpr std::size_t kParentHintCapacity = 1024;
+constexpr sim::SimDuration kParentHintTtl = 100_ms;
+
 ConsistentRegion& RegionRegistry::get_or_create(const RegionConfig& config) {
   // Overlap resolution (paper use case 3): if an existing region encloses
   // the requested workspace (or vice versa the request encloses nothing),
@@ -37,30 +41,16 @@ ConsistentRegion* RegionRegistry::containing(const fs::Path& path) {
   return best;
 }
 
-Pacon::Pacon(PaconRuntime& rt, net::NodeId node, PaconConfig config)
-    : rt_(rt),
+Pacon::Pacon(RegionRegistry& registry, net::NodeId node, const RegionConfig& config)
+    : registry_(registry),
       node_(node),
-      config_(std::move(config)),
-      region_(nullptr),
-      client_id_(0),
-      parent_hints_(config_.parent_hint_capacity, config_.parent_hint_ttl) {
-  assert(config_.workspace.valid() && !config_.workspace.is_root());
-  RegionConfig region_cfg = config_.region;
-  region_cfg.root = config_.workspace;
-  region_cfg.nodes = config_.nodes;
-  region_cfg.creds = config_.creds;
-  if (region_cfg.normal_permission.uid == 0 && region_cfg.normal_permission.gid == 0) {
-    // Default batch permission: the workspace belongs to the application's
-    // system user (Section III.C's Linux-like default).
-    region_cfg.normal_permission = PermissionSpec{fs::FileMode::dir_default(),
-                                                  config_.creds.uid, config_.creds.gid};
-  }
-  region_ = &rt_.registry.get_or_create(region_cfg);
-  client_id_ = region_->register_client(node_);
-  dfs::DfsClientConfig dfs_cfg;
-  dfs_cfg.creds = config_.creds;
-  dfs_fallback_ = std::make_unique<dfs::DfsClient>(rt_.sim, rt_.dfs, node_, dfs_cfg);
-  hints_valid_at_ = region_->invalidation_epoch();
+      region_(&registry.get_or_create(config)),
+      client_id_(region_->register_client(node)),
+      dfs_fallback_(std::make_unique<dfs::DfsClient>(registry.sim(), registry.dfs(), node,
+                                                     dfs::DfsClientConfig{.creds = config.creds})),
+      parent_hints_(kParentHintCapacity, kParentHintTtl),
+      hints_valid_at_(region_->invalidation_epoch()) {
+  assert(config.root.valid() && !config.root.is_root());
 }
 
 FsResult<ConsistentRegion*> Pacon::region_for(const fs::Path& path, bool mutates) {
@@ -88,7 +78,7 @@ void Pacon::refresh_hints() {
 // awaited result, grows the frame by a pool class.
 
 sim::Task<FsResult<void>> Pacon::mkdir(const fs::Path& path, fs::FileMode mode) {
-  obs::Span op(rt_.sim.tracer(), "pacon.mkdir", obs::kNoSpan, node_.value);
+  obs::Span op(registry_.sim().tracer(), "pacon.mkdir", obs::kNoSpan, node_.value);
   const FsResult<ConsistentRegion*> region = region_for(path, /*mutates=*/true);
   if (!region) co_return fs::fail(region.error());
   if (*region == nullptr) {
@@ -98,18 +88,19 @@ sim::Task<FsResult<void>> Pacon::mkdir(const fs::Path& path, fs::FileMode mode) 
     co_return FsResult<void>{};
   }
   refresh_hints();
-  const bool parent_known = parent_hints_.find(path.parent_hash(), rt_.sim.now()) != nullptr;
+  const bool parent_known =
+      parent_hints_.find(path.parent_hash(), registry_.sim().now()) != nullptr;
   auto r = co_await (*region)->mkdir(node_, client_id_, path, mode, parent_known, op.id());
   if (r) {
-    parent_hints_.insert(path.hash(), {}, rt_.sim.now());
-    parent_hints_.insert(path.parent_hash(), {}, rt_.sim.now());
+    parent_hints_.insert(path.hash(), {}, registry_.sim().now());
+    parent_hints_.insert(path.parent_hash(), {}, registry_.sim().now());
   }
   op.finish(r ? "ok" : "error");
   co_return r;
 }
 
 sim::Task<FsResult<void>> Pacon::create(const fs::Path& path, fs::FileMode mode) {
-  obs::Span op(rt_.sim.tracer(), "pacon.create", obs::kNoSpan, node_.value);
+  obs::Span op(registry_.sim().tracer(), "pacon.create", obs::kNoSpan, node_.value);
   const FsResult<ConsistentRegion*> region = region_for(path, /*mutates=*/true);
   if (!region) co_return fs::fail(region.error());
   if (*region == nullptr) {
@@ -119,15 +110,16 @@ sim::Task<FsResult<void>> Pacon::create(const fs::Path& path, fs::FileMode mode)
     co_return FsResult<void>{};
   }
   refresh_hints();
-  const bool parent_known = parent_hints_.find(path.parent_hash(), rt_.sim.now()) != nullptr;
+  const bool parent_known =
+      parent_hints_.find(path.parent_hash(), registry_.sim().now()) != nullptr;
   auto r = co_await (*region)->create(node_, client_id_, path, mode, parent_known, op.id());
-  if (r) parent_hints_.insert(path.parent_hash(), {}, rt_.sim.now());
+  if (r) parent_hints_.insert(path.parent_hash(), {}, registry_.sim().now());
   op.finish(r ? "ok" : "error");
   co_return r;
 }
 
 sim::Task<FsResult<fs::InodeAttr>> Pacon::getattr(const fs::Path& path) {
-  obs::Span op(rt_.sim.tracer(), "pacon.getattr", obs::kNoSpan, node_.value);
+  obs::Span op(registry_.sim().tracer(), "pacon.getattr", obs::kNoSpan, node_.value);
   ConsistentRegion* const region = *region_for(path, /*mutates=*/false);
   if (region == nullptr) {
     auto r = co_await dfs_fallback_->getattr(path, op.id());
@@ -140,7 +132,7 @@ sim::Task<FsResult<fs::InodeAttr>> Pacon::getattr(const fs::Path& path) {
 }
 
 sim::Task<FsResult<void>> Pacon::remove(const fs::Path& path) {
-  obs::Span op(rt_.sim.tracer(), "pacon.remove", obs::kNoSpan, node_.value);
+  obs::Span op(registry_.sim().tracer(), "pacon.remove", obs::kNoSpan, node_.value);
   const FsResult<ConsistentRegion*> region = region_for(path, /*mutates=*/true);
   if (!region) co_return fs::fail(region.error());
   if (*region == nullptr) {
@@ -154,7 +146,7 @@ sim::Task<FsResult<void>> Pacon::remove(const fs::Path& path) {
 }
 
 sim::Task<FsResult<void>> Pacon::rmdir(const fs::Path& path) {
-  obs::Span op(rt_.sim.tracer(), "pacon.rmdir", obs::kNoSpan, node_.value);
+  obs::Span op(registry_.sim().tracer(), "pacon.rmdir", obs::kNoSpan, node_.value);
   const FsResult<ConsistentRegion*> region = region_for(path, /*mutates=*/true);
   if (!region) co_return fs::fail(region.error());
   if (*region == nullptr) {
@@ -168,7 +160,7 @@ sim::Task<FsResult<void>> Pacon::rmdir(const fs::Path& path) {
 }
 
 sim::Task<FsResult<std::vector<fs::DirEntry>>> Pacon::readdir(const fs::Path& path) {
-  obs::Span op(rt_.sim.tracer(), "pacon.readdir", obs::kNoSpan, node_.value);
+  obs::Span op(registry_.sim().tracer(), "pacon.readdir", obs::kNoSpan, node_.value);
   ConsistentRegion* const region = *region_for(path, /*mutates=*/false);
   if (region == nullptr) {
     auto r = co_await dfs_fallback_->readdir(path, op.id());
@@ -182,7 +174,7 @@ sim::Task<FsResult<std::vector<fs::DirEntry>>> Pacon::readdir(const fs::Path& pa
 
 sim::Task<FsResult<std::uint64_t>> Pacon::write(const fs::Path& path, std::uint64_t offset,
                                                 std::uint64_t length) {
-  obs::Span op(rt_.sim.tracer(), "pacon.write", obs::kNoSpan, node_.value);
+  obs::Span op(registry_.sim().tracer(), "pacon.write", obs::kNoSpan, node_.value);
   const FsResult<ConsistentRegion*> region = region_for(path, /*mutates=*/true);
   if (!region) co_return fs::fail(region.error());
   if (*region == nullptr) {
@@ -197,7 +189,7 @@ sim::Task<FsResult<std::uint64_t>> Pacon::write(const fs::Path& path, std::uint6
 
 sim::Task<FsResult<std::uint64_t>> Pacon::read(const fs::Path& path, std::uint64_t offset,
                                                std::uint64_t length) {
-  obs::Span op(rt_.sim.tracer(), "pacon.read", obs::kNoSpan, node_.value);
+  obs::Span op(registry_.sim().tracer(), "pacon.read", obs::kNoSpan, node_.value);
   ConsistentRegion* const region = *region_for(path, /*mutates=*/false);
   if (region == nullptr) {
     auto r = co_await dfs_fallback_->read(path, offset, length, op.id());
@@ -210,7 +202,7 @@ sim::Task<FsResult<std::uint64_t>> Pacon::read(const fs::Path& path, std::uint64
 }
 
 sim::Task<FsResult<void>> Pacon::fsync(const fs::Path& path) {
-  obs::Span op(rt_.sim.tracer(), "pacon.fsync", obs::kNoSpan, node_.value);
+  obs::Span op(registry_.sim().tracer(), "pacon.fsync", obs::kNoSpan, node_.value);
   const FsResult<ConsistentRegion*> region = region_for(path, /*mutates=*/true);
   if (!region) co_return fs::fail(region.error());
   if (*region == nullptr) {
@@ -224,12 +216,13 @@ sim::Task<FsResult<void>> Pacon::fsync(const fs::Path& path) {
 }
 
 sim::Task<FsResult<void>> Pacon::merge_region(const fs::Path& other_root) {
-  ConsistentRegion* other = rt_.registry.by_root(other_root);
+  ConsistentRegion* other = registry_.by_root(other_root);
   if (!other) co_return fs::fail(FsError::not_found);
   if (other == region_) co_return FsResult<void>{};
   // Step 1 of the merge: fetch the region's basic information; step 2:
   // connect to its distributed cache. One round trip to its first node.
-  co_await rt_.sim.delay(2 * rt_.fabric.one_way(node_, other->config().nodes.front(), 512));
+  co_await registry_.sim().delay(
+      2 * registry_.fabric().one_way(node_, other->config().nodes.front(), 512));
   if (std::find(merged_.begin(), merged_.end(), other) == merged_.end()) {
     merged_.push_back(other);
   }

@@ -37,6 +37,10 @@ class RegionRegistry {
   RegionRegistry(const RegionRegistry&) = delete;
   RegionRegistry& operator=(const RegionRegistry&) = delete;
 
+  sim::Simulation& sim() { return sim_; }
+  net::Fabric& fabric() { return fabric_; }
+  dfs::DfsCluster& dfs() { return dfs_; }
+
   /// Returns the region rooted at `config.root`, creating it on first use.
   /// Overlapping workspaces resolve to the enclosing region (paper use case
   /// 3: treat both applications as running in the larger region).
@@ -58,34 +62,11 @@ class RegionRegistry {
   std::map<fs::Path, std::unique_ptr<ConsistentRegion>> regions_;
 };
 
-/// Everything a Pacon instance needs from its environment.
-struct PaconRuntime {
-  sim::Simulation& sim;
-  net::Fabric& fabric;
-  dfs::DfsCluster& dfs;
-  RegionRegistry& registry;
-};
-
-struct PaconConfig {
-  /// The application workspace (consistent-region root).
-  fs::Path workspace;
-  /// Nodes the application runs on (region members). Only consulted when
-  /// this client is the first to initialize the workspace's region.
-  std::vector<net::NodeId> nodes;
-  fs::Credentials creds{};
-  /// Region tuning; root/nodes/creds are overwritten from the fields above.
-  RegionConfig region{};
-  /// Client-local hint cache: parents this client recently confirmed, which
-  /// saves the cache round trip on back-to-back creates in one directory.
-  /// Invalidated region-wide whenever anything is removed.
-  std::size_t parent_hint_capacity = 1024;
-  sim::SimDuration parent_hint_ttl = 100_ms;
-};
-
 class Pacon {
  public:
-  /// Initializes Pacon for one application process on `node`.
-  Pacon(PaconRuntime& rt, net::NodeId node, PaconConfig config);
+  /// Initializes Pacon for one application process on `node`, launching
+  /// the region of workspace `config.root` or joining it if it runs already.
+  Pacon(RegionRegistry& registry, net::NodeId node, const RegionConfig& config);
   Pacon(const Pacon&) = delete;
   Pacon& operator=(const Pacon&) = delete;
 
@@ -133,19 +114,21 @@ class Pacon {
 
   void refresh_hints();
 
-  PaconRuntime& rt_;
+  RegionRegistry& registry_;
   net::NodeId node_;
-  PaconConfig config_;
   ConsistentRegion* region_;
   std::uint32_t client_id_;
   std::vector<ConsistentRegion*> merged_;
   std::unique_ptr<dfs::DfsClient> dfs_fallback_;
-  // Keyed by the Path-cached parent hash: hints are probed per create, and
-  // the hash key skips the per-op string copy/compare. A hash collision
-  // (~2^-64 per resident pair) yields a wrong hint, which callers already
-  // tolerate as a stale one.
+  // Parents this client recently confirmed: they save the cache round trip
+  // on back-to-back creates in one directory. Invalidated region-wide
+  // whenever anything is removed (hints_valid_at_). Keyed by the
+  // Path-cached parent hash: hints are probed per create, and the hash key
+  // skips the per-op string copy/compare. A hash collision (~2^-64 per
+  // resident pair) yields a wrong hint, which callers already tolerate as a
+  // stale one.
   fs::LruTtlCache<std::uint64_t, std::monostate> parent_hints_;
-  std::uint64_t hints_valid_at_ = 0;  // region invalidation counter snapshot
+  std::uint64_t hints_valid_at_;  // region invalidation counter snapshot
 };
 
 }  // namespace pacon::core

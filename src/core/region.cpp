@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <set>
 
+#include "net/retry.h"
 #include "obs/trace.h"
 #include "sim/combinators.h"
 
@@ -14,6 +15,27 @@ using fs::FsError;
 using fs::FsResult;
 
 namespace {
+
+/// Backoff schedule for the commit retry worker: from 200 us, doubling to
+/// at most 2 ms, +-25% deterministic jitter from the region's forked rng
+/// stream, never giving up (independent commit resubmits until the DFS
+/// accepts, Section III.E.1). base_delay also paces the fixed-interval
+/// waits: a data write waiting for its file's create to reach the DFS, and
+/// a barrier waiting for parked resubmissions.
+constexpr net::RetryPolicy kCommitRetry{.max_attempts = 0, .max_delay = 2'000_us};
+/// Pause before replaying a barrier whose epoch was aborted by a
+/// commit-process crash (or whose DFS call hit a transport failure), and
+/// how many replays to attempt before the dependent op fails with
+/// FsError::io.
+constexpr sim::SimDuration kBarrierRetryDelay = 500_us;
+constexpr std::size_t kBarrierRetryLimit = 64;
+/// Group-commit cadence of the per-node commit WAL.
+constexpr sim::SimDuration kWalFlushPeriod = 100_us;
+/// CPU cost of a local (client-side) batch permission match.
+constexpr sim::SimDuration kPermissionCheckCpu = 400_ns;
+/// Caller-side cost of pushing one operation message into the commit
+/// queue (serialization + the ZeroMQ-style socket write).
+constexpr sim::SimDuration kQueuePublishCpu = 12_us;
 
 /// Key prefix covering the subtree strictly under `dir` plus the dir itself.
 std::string subtree_prefix(const fs::Path& dir) {
@@ -43,7 +65,8 @@ ConsistentRegion::ConsistentRegion(sim::Simulation& sim, net::Fabric& fabric,
       fabric_(fabric),
       dfs_(dfs),
       config_(std::move(config)),
-      permissions_(config_.normal_permission),
+      permissions_(
+          PermissionSpec{fs::FileMode::dir_default(), config_.creds.uid, config_.creds.gid}),
       epochs_(sim, config_.nodes.size()),
       barrier_mutex_(sim),
       rng_(sim.rng().fork("region-retry")),
@@ -88,14 +111,13 @@ ConsistentRegion::ConsistentRegion(sim::Simulation& sim, net::Fabric& fabric,
     state->topic = node_topic(node);
     state->queue = bus_->subscribe(state->topic, node);
     state->topic_handle = bus_->topic_handle(state->topic);
-    dfs::DfsClientConfig dfs_cfg;
-    dfs_cfg.creds = config_.creds;
-    state->dfs_client = std::make_unique<dfs::DfsClient>(sim_, dfs_, node, dfs_cfg);
+    state->dfs_client = std::make_unique<dfs::DfsClient>(
+        sim_, dfs_, node, dfs::DfsClientConfig{.creds = config_.creds});
     state->ordered = std::make_unique<sim::Channel<CommitTicket>>(sim_);
     state->retry_queue = std::make_unique<sim::Channel<CommitTicket>>(sim_);
     state->spill_disk = std::make_unique<sim::SimDisk>(sim_, sim::DiskConfig::nvme());
     state->wal_disk = std::make_unique<sim::SimDisk>(sim_, sim::DiskConfig::nvme());
-    state->wal = std::make_unique<CommitWal>(sim_, *state->wal_disk, config_.wal_flush_period);
+    state->wal = std::make_unique<CommitWal>(sim_, *state->wal_disk, kWalFlushPeriod);
     state->wal->set_backlog_gauge(
         // lint-allow: metric-hot-loop once-per-node at region construction, not a hot path
         &scope.scoped("n" + std::to_string(node.value)).gauge("wal_backlog"));
@@ -108,11 +130,26 @@ ConsistentRegion::ConsistentRegion(sim::Simulation& sim, net::Fabric& fabric,
   sim_.spawn(evictor_loop());
 }
 
-ConsistentRegion::NodeState& ConsistentRegion::state_for(net::NodeId node) {
+ConsistentRegion::NodeState* ConsistentRegion::find_state(net::NodeId node) {
   auto it = std::find_if(node_states_.begin(), node_states_.end(),
                          [node](const auto& s) { return s->node == node; });
-  assert(it != node_states_.end() && "operation issued from a non-member node");
-  return **it;
+  return it == node_states_.end() ? nullptr : it->get();
+}
+
+ConsistentRegion::NodeState& ConsistentRegion::state_for(net::NodeId node) {
+  NodeState* state = find_state(node);
+  assert(state != nullptr && "operation issued from a non-member node");
+  return *state;
+}
+
+dfs::DfsClient& ConsistentRegion::dfs_for(net::NodeId node) {
+  if (NodeState* state = find_state(node)) return *state->dfs_client;
+  for (const auto& client : reader_dfs_) {
+    if (client->node() == node) return *client;
+  }
+  reader_dfs_.push_back(std::make_unique<dfs::DfsClient>(
+      sim_, dfs_, node, dfs::DfsClientConfig{.creds = config_.creds}));
+  return *reader_dfs_.back();
 }
 
 fs::Path ConsistentRegion::checkpoint_path(std::uint64_t id) const {
@@ -167,14 +204,13 @@ std::string ConsistentRegion::node_topic(net::NodeId node) const {
 }
 
 std::uint32_t ConsistentRegion::register_client(net::NodeId node) {
-  auto it = std::find_if(node_states_.begin(), node_states_.end(),
-                         [node](const auto& s) { return s->node == node; });
-  assert(it != node_states_.end() && "client node must be a region member");
+  NodeState* home = find_state(node);
+  assert(home != nullptr && "client node must be a region member");
   const std::uint32_t id = next_client_id_++;
   assert(id == clients_.size() && "client ids are dense indices");
-  clients_.push_back(it->get());
+  clients_.push_back(home);
   client_epochs_.push_back(epochs_.current_epoch());
-  ++(*it)->client_count;
+  ++home->client_count;
   return id;
 }
 
@@ -186,7 +222,7 @@ sim::Task<FsResult<void>> ConsistentRegion::check_permission(net::NodeId from,
                                                              obs::SpanId span) {
   if (config_.batch_permission) {
     // One local match against the predefined table (Section III.C).
-    co_await sim_.delay(config_.permission_check_cpu);
+    co_await sim_.delay(kPermissionCheckCpu);
     if (!permissions_.check(path, config_.creds, access)) {
       co_return fs::fail(FsError::permission);
     }
@@ -211,7 +247,7 @@ sim::Task<FsResult<void>> ConsistentRegion::check_permission(net::NodeId from,
       continue;
     }
     // Not cached: consult the DFS (charges full traversal there).
-    auto attr = co_await state_for(from).dfs_client->getattr(*it, span);
+    auto attr = co_await dfs_for(from).getattr(*it, span);
     if (!attr) {
       // The leaf may be about to be created; a transport failure still fails.
       if (leaf && attr.error() != FsError::io) continue;
@@ -242,7 +278,7 @@ sim::Task<FsResult<void>> ConsistentRegion::check_parent(net::NodeId from,
 sim::Task<FsResult<void>> ConsistentRegion::load_parent(net::NodeId from, fs::Path parent,
                                                         obs::SpanId span) {
   // Parent exists on the DFS but is not cached: synchronous check + load.
-  auto attr = co_await state_for(from).dfs_client->getattr(parent, span);
+  auto attr = co_await dfs_for(from).getattr(parent, span);
   if (!attr) co_return fs::fail(attr.error());
   if (!attr->is_dir()) co_return fs::fail(FsError::not_a_directory);
   CachedMeta loaded;
@@ -330,7 +366,7 @@ sim::Task<FsResult<void>> ConsistentRegion::create_common(net::NodeId from,
       (co_await cache_->add(from, path.str(), new_entry_value(mode, type), path.hash(), parent))
           .status;
   if (status == kv::KvStatus::ok && config_.async_commit) {
-    co_await sim_.delay(config_.queue_publish_cpu);
+    co_await sim_.delay(kQueuePublishCpu);
     publish(client,
             make_op(type == fs::FileType::directory ? OpMessage::Kind::mkdir
                                                     : OpMessage::Kind::create,
@@ -360,7 +396,7 @@ sim::Task<FsResult<void>> ConsistentRegion::create_common(net::NodeId from,
 sim::Task<FsResult<void>> ConsistentRegion::commit_on_dfs(net::NodeId from, fs::Path path,
                                                           fs::FileMode mode, fs::FileType type,
                                                           obs::SpanId parent) {
-  dfs::DfsClient& io = *state_for(from).dfs_client;
+  dfs::DfsClient& io = dfs_for(from);
   auto committed = type == fs::FileType::directory ? co_await io.mkdir(path, mode, parent)
                                                    : co_await io.create(path, mode, parent);
   if (!committed) co_return fs::fail(committed.error());
@@ -397,7 +433,7 @@ sim::Task<FsResult<fs::InodeAttr>> ConsistentRegion::getattr(net::NodeId from,
 sim::Task<FsResult<fs::InodeAttr>> ConsistentRegion::load_attr(net::NodeId from, fs::Path path,
                                                                obs::SpanId span) {
   // Miss: synchronously load from the DFS (Table I: getattr on miss).
-  auto attr = co_await state_for(from).dfs_client->getattr(path, span);
+  auto attr = co_await dfs_for(from).getattr(path, span);
   if (!attr) co_return fs::fail(attr.error());
   CachedMeta loaded;
   loaded.attr = *attr;
@@ -421,14 +457,14 @@ sim::Task<FsResult<void>> ConsistentRegion::remove(net::NodeId from, std::uint32
       // Degraded pass-through: the key's cache shard is gone; unlink
       // synchronously on the DFS (nothing cached survives to go stale).
       note_degraded(parent);
-      auto done = co_await state_for(from).dfs_client->unlink(path, parent);
+      auto done = co_await dfs_for(from).unlink(path, parent);
       if (!done) co_return fs::fail(done.error());
       ++invalidation_epoch_;
       co_return FsResult<void>{};
     }
     if (cur.status == kv::KvStatus::not_found) {
       // Not cached: verify against the DFS before queueing the remove.
-      auto attr = co_await state_for(from).dfs_client->getattr(path, parent);
+      auto attr = co_await dfs_for(from).getattr(path, parent);
       if (!attr) co_return fs::fail(attr.error());
       if (attr->is_dir()) co_return fs::fail(FsError::is_a_directory);
       CachedMeta marked;
@@ -452,11 +488,11 @@ sim::Task<FsResult<void>> ConsistentRegion::remove(net::NodeId from, std::uint32
 
   ++invalidation_epoch_;
   if (config_.async_commit) {
-    co_await sim_.delay(config_.queue_publish_cpu);
+    co_await sim_.delay(kQueuePublishCpu);
     publish(client, make_op(OpMessage::Kind::remove, path), parent);
     co_return FsResult<void>{};
   }
-  auto done = co_await state_for(from).dfs_client->unlink(path, parent);
+  auto done = co_await dfs_for(from).unlink(path, parent);
   if (!done && done.error() == FsError::io) co_return done;  // DFS unreachable
   (void)co_await cache_->del(from, path.str(), path.hash(), parent);
   if (!done) co_return fs::fail(done.error());
@@ -522,12 +558,12 @@ sim::Task<FsResult<void>> ConsistentRegion::rmdir(net::NodeId from, fs::Path pat
       // the whole barrier; the replayed one covers the redelivered ops.
       epochs_.complete_epoch(barrier.epoch);
       barrier_mutex_.unlock();
-      if (attempt + 1 >= config_.barrier_retry_limit) co_return fs::fail(FsError::io);
-      co_await sim_.delay(config_.barrier_retry_delay);
+      if (attempt + 1 >= kBarrierRetryLimit) co_return fs::fail(FsError::io);
+      co_await sim_.delay(kBarrierRetryDelay);
       continue;
     }
     // sync commit (Table I)
-    auto result = co_await state_for(from).dfs_client->rmdir(path, parent);
+    auto result = co_await dfs_for(from).rmdir(path, parent);
     if (result) {
       ++invalidation_epoch_;
       // Clean the cached subtree (paper: recursive removing cleans the cache).
@@ -545,8 +581,8 @@ sim::Task<FsResult<void>> ConsistentRegion::rmdir(net::NodeId from, fs::Path pat
     // The MDS never answers io, so io here is a transport failure (MDS down
     // or message lost): replay the barrier + rmdir after a delay.
     if (!result && result.error() == FsError::io &&
-        attempt + 1 < config_.barrier_retry_limit) {
-      co_await sim_.delay(config_.barrier_retry_delay);
+        attempt + 1 < kBarrierRetryLimit) {
+      co_await sim_.delay(kBarrierRetryDelay);
       continue;
     }
     co_return result;
@@ -564,16 +600,16 @@ sim::Task<FsResult<std::vector<fs::DirEntry>>> ConsistentRegion::readdir(
     if (!barrier.ok) {
       epochs_.complete_epoch(barrier.epoch);
       barrier_mutex_.unlock();
-      if (attempt + 1 >= config_.barrier_retry_limit) co_return fs::fail(FsError::io);
-      co_await sim_.delay(config_.barrier_retry_delay);
+      if (attempt + 1 >= kBarrierRetryLimit) co_return fs::fail(FsError::io);
+      co_await sim_.delay(kBarrierRetryDelay);
       continue;
     }
-    auto entries = co_await state_for(from).dfs_client->readdir(path, parent);
+    auto entries = co_await dfs_for(from).readdir(path, parent);
     epochs_.complete_epoch(barrier.epoch);
     barrier_mutex_.unlock();
     if (!entries && entries.error() == FsError::io &&
-        attempt + 1 < config_.barrier_retry_limit) {
-      co_await sim_.delay(config_.barrier_retry_delay);  // transport failure: replay
+        attempt + 1 < kBarrierRetryLimit) {
+      co_await sim_.delay(kBarrierRetryDelay);  // transport failure: replay
       continue;
     }
     co_return entries;
@@ -590,7 +626,7 @@ sim::Task<FsResult<std::uint64_t>> ConsistentRegion::write(net::NodeId from,
                                                            obs::SpanId parent) {
   auto perm = co_await check_permission(from, path, fs::Access::write, parent);
   if (!perm) co_return fs::fail(perm.error());
-  dfs::DfsClient& io = *state_for(from).dfs_client;
+  dfs::DfsClient& io = dfs_for(from);
 
   for (;;) {
     const auto cur = co_await get_entry(from, path, parent);
@@ -632,7 +668,7 @@ sim::Task<FsResult<std::uint64_t>> ConsistentRegion::write(net::NodeId from,
         if (spill > 0) {
           auto spilled = co_await io.write(path, 0, spill, parent);
           if (!spilled && spilled.error() == FsError::not_found) {
-            co_await sim_.delay(config_.commit_retry.base_delay);
+            co_await sim_.delay(kCommitRetry.base_delay);
             continue;
           }
           if (!spilled && spilled.error() == FsError::io) co_return fs::fail(FsError::io);
@@ -640,7 +676,7 @@ sim::Task<FsResult<std::uint64_t>> ConsistentRegion::write(net::NodeId from,
         auto wrote = co_await io.write(path, offset, length, parent);
         if (wrote) break;
         if (wrote.error() != FsError::not_found) co_return fs::fail(wrote.error());
-        co_await sim_.delay(config_.commit_retry.base_delay);  // create not committed yet
+        co_await sim_.delay(kCommitRetry.base_delay);  // create not committed yet
       }
       // Reflect the new size for cached readers (best effort, CAS-raced).
       co_return length;
@@ -654,7 +690,7 @@ sim::Task<FsResult<std::uint64_t>> ConsistentRegion::write(net::NodeId from,
                                               path.hash(), parent);
     if (swapped.status != kv::KvStatus::ok) continue;  // conflict: re-execute
     if (config_.async_commit) {
-      co_await sim_.delay(config_.queue_publish_cpu);
+      co_await sim_.delay(kQueuePublishCpu);
       OpMessage op = make_op(OpMessage::Kind::write_data, path);
       op.size = new_size;
       publish(client, std::move(op), parent);
@@ -679,17 +715,16 @@ sim::Task<FsResult<std::uint64_t>> ConsistentRegion::read(net::NodeId from, cons
     co_return std::min(length, meta->inline_bytes - offset);
   }
   if (meta && meta->removed) co_return fs::fail(FsError::not_found);
-  co_return co_await state_for(from).dfs_client->read(path, offset, length, parent);
+  co_return co_await dfs_for(from).read(path, offset, length, parent);
 }
 
 sim::Task<FsResult<void>> ConsistentRegion::fsync(net::NodeId from, const fs::Path& path,
                                                   obs::SpanId parent) {
   const auto cur = co_await get_entry(from, path, parent);
-  NodeState& state = state_for(from);
   if (cur.status == kv::KvStatus::unreachable) {
     // Degraded pass-through: delegate durability to the DFS.
     note_degraded(parent);
-    co_return co_await state.dfs_client->fsync(path, parent);
+    co_return co_await dfs_for(from).fsync(path, parent);
   }
   std::optional<CachedMeta> meta;
   if (cur.status == kv::KvStatus::ok) meta = decode_meta(cur.value);
@@ -698,10 +733,10 @@ sim::Task<FsResult<void>> ConsistentRegion::fsync(net::NodeId from, const fs::Pa
     // The file's create (or data) has not committed yet: durability comes
     // from a direct-I/O write of the inline payload into a node-local cache
     // file; it is written back once the create lands (Section III.D.2).
-    co_await state.spill_disk->write(std::max<std::uint64_t>(meta->inline_bytes, 512));
+    co_await state_for(from).spill_disk->write(std::max<std::uint64_t>(meta->inline_bytes, 512));
     co_return FsResult<void>{};
   }
-  co_return co_await state.dfs_client->fsync(path, parent);
+  co_return co_await dfs_for(from).fsync(path, parent);
 }
 
 // ---- Commit machinery ------------------------------------------------------------
@@ -775,7 +810,7 @@ sim::Task<> ConsistentRegion::committer_loop(NodeState& node) {
       // A barrier may only be reported once every operation of its epoch --
       // including ones parked for resubmission -- reached the DFS.
       while (node.retrying > 0 && node.alive) {
-        co_await sim_.delay(config_.commit_retry.base_delay);
+        co_await sim_.delay(kCommitRetry.base_delay);
         if (node.commit_generation != generation) co_return;
       }
       epochs_.node_reached_barrier(ticket->epoch);
@@ -809,7 +844,7 @@ sim::Task<> ConsistentRegion::retry_loop(NodeState& node) {
           tracer->event(msg->span, "commit_retry", "attempt=" + std::to_string(attempt + 1));
         }
       }
-      co_await sim_.delay(config_.commit_retry.backoff(attempt, rng_));
+      co_await sim_.delay(kCommitRetry.backoff(attempt, rng_));
       if (node.commit_generation != generation) co_return;
       const bool applied = co_await apply_and_account(node, ticket->seq, generation);
       if (node.commit_generation != generation) co_return;
@@ -973,11 +1008,9 @@ sim::Task<FsResult<void>> ConsistentRegion::restore(std::uint64_t id) {
 }
 
 void ConsistentRegion::detach_failed_node(net::NodeId failed) {
-  auto it = std::find_if(node_states_.begin(), node_states_.end(),
-                         [failed](const auto& s) { return s->node == failed; });
-  if (it == node_states_.end()) return;
-  NodeState& state = **it;
-  if (!state.alive) return;
+  NodeState* const found = find_state(failed);
+  if (found == nullptr || !found->alive) return;
+  NodeState& state = *found;
   state.alive = false;
   // The node's uncommitted operations are lost (the damage restore()
   // repairs). The commit machinery stays attached and discards everything it

@@ -35,7 +35,6 @@
 #include "fs/path.h"
 #include "kv/memcache.h"
 #include "net/pubsub.h"
-#include "net/retry.h"
 #include "obs/span_id.h"
 #include "sim/disk.h"
 #include "sim/metrics.h"
@@ -52,13 +51,16 @@ using namespace sim::literals;
 /// policy"; fixed_order is that simple policy, kept for the ablation).
 enum class EvictionPolicy : std::uint8_t { round_robin, fixed_order };
 
+/// An application's consistent region (Section III.B: a workspace and the
+/// nodes it runs on). Read only by the client that launches the region.
 struct RegionConfig {
   /// Workspace root (the consistent region's subtree).
   fs::Path root;
   /// Nodes the application runs on; cache servers and commit processes are
   /// launched on each (paper: Pacon services start with the application).
   std::vector<net::NodeId> nodes;
-  /// The application's system user.
+  /// The application's system user. The workspace's normal batch permission
+  /// is creator-private rwx for it (Section III.C's Linux-like default).
   fs::Credentials creds{};
   /// Small-file threshold: files up to this size (metadata + data) live
   /// inline in the cache (4 KB in the paper's prototype).
@@ -82,31 +84,6 @@ struct RegionConfig {
   /// How often the evictor checks pressure.
   sim::SimDuration eviction_period = 50_ms;
   EvictionPolicy eviction_policy = EvictionPolicy::round_robin;
-  /// Backoff schedule for the commit retry worker: exponential with
-  /// deterministic jitter from the region's forked rng stream; max_attempts
-  /// is ignored (independent commit resubmits until the DFS accepts,
-  /// Section III.E.1). base_delay also paces the fixed-interval waits: a
-  /// data write waiting for its file's create to reach the DFS, and a
-  /// barrier waiting for parked resubmissions.
-  net::RetryPolicy commit_retry{.max_attempts = 0,
-                                .base_delay = 200_us,
-                                .multiplier = 2.0,
-                                .max_delay = 2'000_us,
-                                .jitter_frac = 0.25};
-  /// Pause before replaying a barrier whose epoch was aborted by a
-  /// commit-process crash, and how many replays to attempt before the
-  /// dependent op fails with FsError::io.
-  sim::SimDuration barrier_retry_delay = 500_us;
-  std::size_t barrier_retry_limit = 64;
-  /// Group-commit cadence of the per-node commit WAL.
-  sim::SimDuration wal_flush_period = 100_us;
-  /// Normal permission of the workspace; defaults to creator-private rwx.
-  PermissionSpec normal_permission{};
-  /// CPU cost of a local (client-side) batch permission match.
-  sim::SimDuration permission_check_cpu = 400_ns;
-  /// Caller-side cost of pushing one operation message into the commit
-  /// queue (serialization + the ZeroMQ-style socket write).
-  sim::SimDuration queue_publish_cpu = 12_us;
 };
 
 class ConsistentRegion {
@@ -360,7 +337,14 @@ class ConsistentRegion {
   sim::Task<fs::FsError> apply_once(NodeState& node, const OpMessage& msg,
                                     obs::SpanId span = obs::kNoSpan);
 
+  /// The member node's state, or nullptr for a node outside the region.
+  NodeState* find_state(net::NodeId node);
+  /// A member node's state (commit side, spill disk); asserts membership.
   NodeState& state_for(net::NodeId node);
+  /// The DFS client a request from `node` goes through: the member node's
+  /// own, or -- for a merged reader on a node outside the region -- one the
+  /// region makes for that node on first use, with the region's creds.
+  dfs::DfsClient& dfs_for(net::NodeId node);
   fs::Path checkpoint_path(std::uint64_t id) const;
   /// Pending-commit bookkeeping keyed by the path hash make_op stamped into
   /// the message; the commit side reuses it and never rehashes the path.
@@ -389,6 +373,8 @@ class ConsistentRegion {
   std::unique_ptr<kv::MemCacheCluster> cache_;
   std::unique_ptr<net::PubSubBus<OpMessage>> bus_;
   std::vector<std::unique_ptr<NodeState>> node_states_;
+  /// dfs_for's clients on non-member nodes (merged readers), one per node.
+  std::vector<std::unique_ptr<dfs::DfsClient>> reader_dfs_;
   // Client ids are dense (next_client_id_++), so the per-client tables are
   // plain vectors indexed by id: no hashing on the publish path, and the
   // barrier broadcast iterates in deterministic id order for free.

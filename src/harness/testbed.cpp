@@ -179,8 +179,6 @@ TestBed::TestBed(TestBedConfig config) : config_(std::move(config)) {
   }
   if (config_.kind == SystemKind::pacon) {
     registry_ = std::make_unique<core::RegionRegistry>(*sim_, *fabric_, *dfs_);
-    rt_ = std::make_unique<core::PaconRuntime>(
-        core::PaconRuntime{*sim_, *fabric_, *dfs_, *registry_});
   }
   if (timeline_enabled()) {
     recorder_ = std::make_unique<obs::FlightRecorder>(*sim_, config_.recorder);
@@ -226,18 +224,18 @@ std::unique_ptr<wl::MetaClient> TestBed::make_client(std::size_t node_index,
     case SystemKind::indexfs:
       return std::make_unique<IndexFsMetaClient>(*sim_, *indexfs_, *dfs_, node, creds);
     case SystemKind::pacon: {
-      core::PaconConfig cfg;
-      cfg.workspace = fs::Path::parse(workspace);
-      cfg.creds = creds;
-      cfg.region = config_.pacon_region;
+      std::vector<net::NodeId> nodes;
       if (region_nodes.empty()) {
-        for (std::size_t i = 0; i < config_.client_nodes; ++i) {
-          cfg.nodes.push_back(client_node(i));
-        }
+        for (std::size_t i = 0; i < config_.client_nodes; ++i) nodes.push_back(client_node(i));
       } else {
-        for (const std::size_t i : region_nodes) cfg.nodes.push_back(client_node(i));
+        for (const std::size_t i : region_nodes) nodes.push_back(client_node(i));
       }
-      return std::make_unique<PaconMetaClient>(std::make_unique<core::Pacon>(*rt_, node, cfg));
+      core::RegionConfig cfg = config_.pacon_region;
+      cfg.root = fs::Path::parse(workspace);
+      cfg.nodes = std::move(nodes);
+      cfg.creds = creds;
+      return std::make_unique<PaconMetaClient>(
+          std::make_unique<core::Pacon>(*registry_, node, cfg));
     }
   }
   return nullptr;

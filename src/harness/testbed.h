@@ -38,7 +38,7 @@ struct TestBedConfig {
   std::size_t client_nodes = 16;
   std::uint64_t seed = 1;
   Calibration cal{};
-  /// Pacon region tuning overrides (workspace/nodes filled per client).
+  /// Pacon region tuning overrides (root/nodes/creds filled per client).
   core::RegionConfig pacon_region{};
   /// IndexFS tuning overrides.
   indexfs::IndexFsConfig indexfs_cfg{};
@@ -97,7 +97,6 @@ class TestBed {
   std::unique_ptr<dfs::DfsCluster> dfs_;
   std::unique_ptr<indexfs::IndexFsCluster> indexfs_;
   std::unique_ptr<core::RegionRegistry> registry_;
-  std::unique_ptr<core::PaconRuntime> rt_;
   std::unique_ptr<sim::LinkFaultMatrix> link_faults_;
   // Declared after sim_ so it is destroyed first; a recorder must never
   // outlive the simulation it is installed on.

@@ -1,6 +1,6 @@
 // Retry/backoff policy shared by the two layers that resubmit failed work:
 // the memcache cluster client (KvConfig::retry, cache-node failover) and the
-// region's commit-resubmission worker (RegionConfig::commit_retry).
+// region's commit-resubmission worker (kCommitRetry in core/region.cpp).
 //
 // Backoff is exponential with full-range multiplicative jitter. The jitter
 // is drawn from a *simulation* Rng stream passed in by the caller, never

@@ -24,7 +24,6 @@ struct World {
       : fabric(sim, net::FabricConfig{}),
         dfs(sim, fabric),
         registry(sim, fabric, dfs),
-        rt{sim, fabric, dfs, registry},
         probe(sim, dfs, net::NodeId{90'001}) {
     dfs::DfsClient admin(sim, dfs, net::NodeId{90'000});
     sim::run_task(sim, [](dfs::DfsClient& io) -> Task<> {
@@ -33,17 +32,16 @@ struct World {
   }
 
   std::unique_ptr<Pacon> make(std::uint32_t node) {
-    PaconConfig cfg;
-    cfg.workspace = Path::parse("/app");
+    RegionConfig cfg;
+    cfg.root = Path::parse("/app");
     cfg.nodes = {net::NodeId{0}, net::NodeId{1}};
-    return std::make_unique<Pacon>(rt, net::NodeId{node}, std::move(cfg));
+    return std::make_unique<Pacon>(registry, net::NodeId{node}, cfg);
   }
 
   Simulation sim;
   net::Fabric fabric;
   dfs::DfsCluster dfs;
   RegionRegistry registry;
-  PaconRuntime rt;
   dfs::DfsClient probe;
 };
 

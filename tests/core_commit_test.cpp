@@ -27,8 +27,7 @@ struct World {
       : sim(seed),
         fabric(sim, net::FabricConfig{}),
         dfs(sim, fabric),
-        registry(sim, fabric, dfs),
-        rt{sim, fabric, dfs, registry} {
+        registry(sim, fabric, dfs) {
     for (std::size_t i = 0; i < client_nodes; ++i) {
       nodes.push_back(net::NodeId{static_cast<std::uint32_t>(i)});
     }
@@ -38,10 +37,10 @@ struct World {
     }(admin));
   }
 
-  std::unique_ptr<Pacon> make_client(std::uint32_t node, PaconConfig cfg = {}) {
-    cfg.workspace = Path::parse("/app");
+  std::unique_ptr<Pacon> make_client(std::uint32_t node, RegionConfig cfg = {}) {
+    cfg.root = Path::parse("/app");
     if (cfg.nodes.empty()) cfg.nodes = nodes;
-    return std::make_unique<Pacon>(rt, net::NodeId{node}, std::move(cfg));
+    return std::make_unique<Pacon>(registry, net::NodeId{node}, cfg);
   }
 
   /// Snapshot of the namespace under /app as seen by the DFS.
@@ -68,7 +67,6 @@ struct World {
   net::Fabric fabric;
   dfs::DfsCluster dfs;
   RegionRegistry registry;
-  PaconRuntime rt;
   std::vector<net::NodeId> nodes;
 };
 
@@ -248,11 +246,11 @@ TEST(Barrier, ReaddirObservesEveryPriorCreateAcrossNodes) {
 
 TEST(Commit, SyncCommitAblationBypassesQueues) {
   World w(2);
-  PaconConfig cfg;
-  cfg.region.async_commit = false;
-  cfg.workspace = Path::parse("/app");
+  RegionConfig cfg;
+  cfg.async_commit = false;
+  cfg.root = Path::parse("/app");
   cfg.nodes = w.nodes;
-  auto c = std::make_unique<Pacon>(w.rt, net::NodeId{0}, cfg);
+  auto c = std::make_unique<Pacon>(w.registry, net::NodeId{0}, cfg);
   sim::run_task(w.sim, [](World& world, Pacon& p) -> Task<> {
     (void)co_await p.create(Path::parse("/app/f"), fs::FileMode::file_default());
     EXPECT_EQ(p.region().pending_commits(), 0u);
@@ -265,8 +263,8 @@ TEST(Commit, SyncCommitAblationBypassesQueues) {
 TEST(Commit, AsyncIsFasterThanSyncForTheCaller) {
   auto elapsed_with = [](bool async_commit) {
     World w(2);
-    PaconConfig cfg;
-    cfg.region.async_commit = async_commit;
+    RegionConfig cfg;
+    cfg.async_commit = async_commit;
     auto c = w.make_client(0, cfg);
     sim::run_task(w.sim, [](Simulation& s, Pacon& p) -> Task<> {
       const auto t0 = s.now();

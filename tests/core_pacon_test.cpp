@@ -23,18 +23,17 @@ struct World {
   explicit World(std::size_t client_nodes = 2)
       : fabric(sim, net::FabricConfig{}),
         dfs(sim, fabric),
-        registry(sim, fabric, dfs),
-        rt{sim, fabric, dfs, registry} {
+        registry(sim, fabric, dfs) {
     for (std::size_t i = 0; i < client_nodes; ++i) {
       nodes.push_back(net::NodeId{static_cast<std::uint32_t>(i)});
     }
   }
 
   std::unique_ptr<Pacon> make_client(std::uint32_t node, const std::string& workspace,
-                                     PaconConfig base = {}) {
-    base.workspace = Path::parse(workspace);
+                                     RegionConfig base = {}) {
+    base.root = Path::parse(workspace);
     if (base.nodes.empty()) base.nodes = nodes;
-    return std::make_unique<Pacon>(rt, net::NodeId{node}, std::move(base));
+    return std::make_unique<Pacon>(registry, net::NodeId{node}, base);
   }
 
   /// Seeds the workspace directory on the DFS (apps get one from the admin).
@@ -49,7 +48,6 @@ struct World {
   net::Fabric fabric;
   dfs::DfsCluster dfs;
   RegionRegistry registry;
-  PaconRuntime rt;
   std::vector<net::NodeId> nodes;
 };
 
@@ -121,8 +119,8 @@ TEST(Pacon, ParentCheckRejectsOrphanCreate) {
 TEST(Pacon, ParentCheckOffTrustsApplication) {
   World w;
   w.seed_workspace("/app");
-  PaconConfig cfg;
-  cfg.region.parent_check = false;
+  RegionConfig cfg;
+  cfg.parent_check = false;
   auto c = w.make_client(0, "/app", cfg);
   sim::run_task(w.sim, [](Pacon& p) -> Task<> {
     // The cache accepts it; the commit process will resubmit until the
@@ -304,7 +302,7 @@ TEST(Pacon, OverlappingWorkspacesShareTheEnclosingRegion) {
   World w;
   w.seed_workspace("/app");
   auto outer = w.make_client(0, "/app");
-  PaconConfig inner_cfg;
+  RegionConfig inner_cfg;
   auto inner = w.make_client(1, "/app/sub", inner_cfg);
   // Use case 3: both run in the region rooted at /app.
   EXPECT_EQ(&outer->region(), &inner->region());
@@ -315,10 +313,14 @@ TEST(Pacon, MergedRegionIsReadableNotWritable) {
   World w;
   w.seed_workspace("/app1");
   w.seed_workspace("/app2");
-  // Both regions span both nodes, so app1 (node 0) is a member of app2's
-  // region and may run its barrier for a readdir.
-  auto a = w.make_client(0, "/app1");
-  auto b = w.make_client(1, "/app2");
+  // Disjoint nodes: app1 (node 0) is not a member of app2's region, and its
+  // merged readdir still runs app2's barrier.
+  RegionConfig app1_cfg;
+  app1_cfg.nodes = {net::NodeId{0}};
+  RegionConfig app2_cfg;
+  app2_cfg.nodes = {net::NodeId{1}};
+  auto a = w.make_client(0, "/app1", app1_cfg);
+  auto b = w.make_client(1, "/app2", app2_cfg);
   sim::run_task(w.sim, [](Pacon& app1, Pacon& app2) -> Task<> {
     const Path data = Path::parse("/app2/data");
     const Path sub = Path::parse("/app2/sub");
@@ -417,15 +419,15 @@ TEST(Pacon, NodeFailureRecoveryViaCheckpoint) {
 
 TEST(Pacon, EvictionKeepsWorkingSetUsable) {
   World w;
-  PaconConfig cfg;
+  RegionConfig cfg;
   cfg.nodes = w.nodes;
-  cfg.region.cache.capacity_bytes = 256 << 10;  // small caches to force pressure
-  cfg.region.eviction_period = 1_ms;
-  cfg.region.eviction_high_water = 0.5;
-  cfg.region.eviction_low_water = 0.3;
+  cfg.cache.capacity_bytes = 256 << 10;  // small caches to force pressure
+  cfg.eviction_period = 1_ms;
+  cfg.eviction_high_water = 0.5;
+  cfg.eviction_low_water = 0.3;
   w.seed_workspace("/tight");
-  cfg.workspace = Path::parse("/tight");
-  auto tight = std::make_unique<Pacon>(w.rt, net::NodeId{0}, cfg);
+  cfg.root = Path::parse("/tight");
+  auto tight = std::make_unique<Pacon>(w.registry, net::NodeId{0}, cfg);
   std::vector<std::string> created;
   sim::run_task(w.sim, [](Pacon& p, std::vector<std::string>& made) -> Task<> {
     for (int d = 0; d < 8; ++d) {

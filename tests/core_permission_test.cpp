@@ -62,8 +62,7 @@ struct World {
   World()
       : fabric(sim, net::FabricConfig{}),
         dfs(sim, fabric),
-        registry(sim, fabric, dfs),
-        rt{sim, fabric, dfs, registry} {
+        registry(sim, fabric, dfs) {
     dfs::DfsClient admin(sim, dfs, net::NodeId{90'000});
     sim::run_task(sim, [](dfs::DfsClient& io) -> Task<> {
       (void)co_await io.mkdir(Path::parse("/app"), fs::FileMode{0x7, 0x7, 0x7});
@@ -73,16 +72,15 @@ struct World {
   net::Fabric fabric;
   dfs::DfsCluster dfs;
   RegionRegistry registry;
-  PaconRuntime rt;
 };
 
 TEST(PaconPermission, WorkspaceOpsPassForTheApplicationUser) {
   World w;
-  PaconConfig cfg;
-  cfg.workspace = Path::parse("/app");
+  RegionConfig cfg;
+  cfg.root = Path::parse("/app");
   cfg.nodes = {net::NodeId{0}};
   cfg.creds = {500, 500};
-  Pacon p(w.rt, net::NodeId{0}, cfg);
+  Pacon p(w.registry, net::NodeId{0}, cfg);
   sim::run_task(w.sim, [](Pacon& pc) -> Task<> {
     EXPECT_TRUE((co_await pc.mkdir(Path::parse("/app/d"), fs::FileMode::dir_default())).has_value());
     EXPECT_TRUE(
@@ -93,11 +91,11 @@ TEST(PaconPermission, WorkspaceOpsPassForTheApplicationUser) {
 
 TEST(PaconPermission, SpecialReadOnlySubtreeRejectsWrites) {
   World w;
-  PaconConfig cfg;
-  cfg.workspace = Path::parse("/app");
+  RegionConfig cfg;
+  cfg.root = Path::parse("/app");
   cfg.nodes = {net::NodeId{0}};
   cfg.creds = {500, 500};
-  Pacon p(w.rt, net::NodeId{0}, cfg);
+  Pacon p(w.registry, net::NodeId{0}, cfg);
   // The application predefines /app/input as read-only for itself.
   p.region().permissions().add_special(
       Path::parse("/app/input"), PermissionSpec{fs::FileMode{0x5, 0x5, 0x5}, 500, 500});
@@ -115,11 +113,11 @@ TEST(PaconPermission, BatchCheckAvoidsCacheTraffic) {
   // hierarchical ablation the same op also probes every ancestor.
   auto cache_gets_for = [](bool batch) {
     World w;
-    PaconConfig cfg;
-    cfg.workspace = Path::parse("/app");
+    RegionConfig cfg;
+    cfg.root = Path::parse("/app");
     cfg.nodes = {net::NodeId{0}};
-    cfg.region.batch_permission = batch;
-    Pacon p(w.rt, net::NodeId{0}, cfg);
+    cfg.batch_permission = batch;
+    Pacon p(w.registry, net::NodeId{0}, cfg);
     sim::run_task(w.sim, [](Pacon& pc) -> Task<> {
       (void)co_await pc.mkdir(Path::parse("/app/a"), fs::FileMode::dir_default());
       (void)co_await pc.mkdir(Path::parse("/app/a/b"), fs::FileMode::dir_default());
@@ -136,12 +134,12 @@ TEST(PaconPermission, BatchCheckAvoidsCacheTraffic) {
 
 TEST(PaconPermission, HierarchicalAblationStillEnforcesModes) {
   World w;
-  PaconConfig cfg;
-  cfg.workspace = Path::parse("/app");
+  RegionConfig cfg;
+  cfg.root = Path::parse("/app");
   cfg.nodes = {net::NodeId{0}};
   cfg.creds = {500, 500};
-  cfg.region.batch_permission = false;
-  Pacon p(w.rt, net::NodeId{0}, cfg);
+  cfg.batch_permission = false;
+  Pacon p(w.registry, net::NodeId{0}, cfg);
   sim::run_task(w.sim, [](Pacon& pc) -> Task<> {
     // A directory the app makes unreadable to itself.
     EXPECT_TRUE((co_await pc.mkdir(Path::parse("/app/locked"), fs::FileMode{0x2, 0x0, 0x0}))

@@ -20,8 +20,7 @@ struct World {
   World()
       : fabric(sim, net::FabricConfig{}),
         dfs(sim, fabric),
-        registry(sim, fabric, dfs),
-        rt{sim, fabric, dfs, registry} {
+        registry(sim, fabric, dfs) {
     dfs::DfsClient admin(sim, dfs, net::NodeId{90'000});
     sim::run_task(sim, [](dfs::DfsClient& io) -> Task<> {
       (void)co_await io.mkdir(Path::parse("/app"), fs::FileMode{0x7, 0x7, 0x7});
@@ -30,18 +29,16 @@ struct World {
   }
 
   std::unique_ptr<Pacon> make(std::uint32_t node, const char* ws,
-                              std::vector<net::NodeId> nodes) {
-    PaconConfig cfg;
-    cfg.workspace = Path::parse(ws);
+                              std::vector<net::NodeId> nodes, RegionConfig cfg = {}) {
+    cfg.root = Path::parse(ws);
     cfg.nodes = std::move(nodes);
-    return std::make_unique<Pacon>(rt, net::NodeId{node}, std::move(cfg));
+    return std::make_unique<Pacon>(registry, net::NodeId{node}, cfg);
   }
 
   Simulation sim;
   net::Fabric fabric;
   dfs::DfsCluster dfs;
   RegionRegistry registry;
-  PaconRuntime rt;
 };
 
 TEST(RegionEdge, GetattrOfWorkspaceRootLoadsFromDfs) {
@@ -152,6 +149,58 @@ TEST(RegionEdge, MergedReaddirIsAllowedAndConsistent) {
     (void)co_await b.write(Path::parse("/peer/out/f0"), 0, 128);
     auto bytes = co_await a.read(Path::parse("/peer/out/f0"), 0, 128);
     EXPECT_TRUE(bytes.has_value());
+  }(*mine, *theirs));
+}
+
+// The merged-read tests below put the reader on a node outside the merged
+// region: its DFS round trips need a client the member nodes do not own.
+
+TEST(RegionEdge, MergedSpilledFileIsReadableFromANonMember) {
+  World w;
+  auto mine = w.make(0, "/app", {net::NodeId{0}});
+  auto theirs = w.make(1, "/peer", {net::NodeId{1}});
+  sim::run_task(w.sim, [](Pacon& a, Pacon& b) -> Task<> {
+    const Path big = Path::parse("/peer/big");
+    (void)co_await b.create(big, fs::FileMode::file_default());
+    // Past the 4 KiB threshold the data lives on the DFS only.
+    EXPECT_EQ((co_await b.write(big, 0, 8000)).value_or(0), 8000u);
+    co_await b.drain();
+    EXPECT_TRUE((co_await a.merge_region(Path::parse("/peer"))).has_value());
+    auto attr = co_await a.getattr(big);
+    EXPECT_TRUE(attr.has_value());
+    if (attr) { EXPECT_EQ(attr->size, 8000u); }
+    EXPECT_EQ((co_await a.read(big, 0, 8000)).value_or(0), 8000u);
+    EXPECT_EQ((co_await a.read(big, 4000, 4000)).value_or(0), 4000u);
+  }(*mine, *theirs));
+}
+
+TEST(RegionEdge, MergedHierarchicalPermissionChecksRunFromANonMember) {
+  World w;
+  RegionConfig hierarchical;
+  hierarchical.batch_permission = false;
+  auto mine = w.make(0, "/app", {net::NodeId{0}});
+  auto theirs = w.make(1, "/peer", {net::NodeId{1}}, hierarchical);
+  // Made on the DFS behind the region's back: uncached, so both the
+  // ancestor walk and the getattr itself go to the DFS.
+  dfs::DfsClient admin(w.sim, w.dfs, net::NodeId{90'000});
+  sim::run_task(w.sim, [](dfs::DfsClient& io) -> Task<> {
+    (void)co_await io.mkdir(Path::parse("/peer/seeded"), fs::FileMode{0x7, 0x7, 0x7});
+  }(admin));
+  sim::run_task(w.sim, [](Pacon& a, Pacon& b) -> Task<> {
+    (void)co_await b.mkdir(Path::parse("/peer/out"), fs::FileMode::dir_default());
+    (void)co_await b.create(Path::parse("/peer/out/f0"), fs::FileMode::file_default());
+    EXPECT_TRUE((co_await a.merge_region(Path::parse("/peer"))).has_value());
+    auto seeded = co_await a.getattr(Path::parse("/peer/seeded"));
+    EXPECT_TRUE(seeded.has_value());
+    if (seeded) { EXPECT_TRUE(seeded->is_dir()); }
+    auto file = co_await a.getattr(Path::parse("/peer/out/f0"));
+    EXPECT_TRUE(file.has_value());
+    auto listing = co_await a.readdir(Path::parse("/peer/out"));
+    EXPECT_TRUE(listing.has_value());
+    if (listing) { EXPECT_EQ(listing->size(), 1u); }
+    auto top = co_await a.readdir(Path::parse("/peer"));
+    EXPECT_TRUE(top.has_value());
+    if (top) { EXPECT_EQ(top->size(), 2u); }
   }(*mine, *theirs));
 }
 

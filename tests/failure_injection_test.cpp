@@ -28,8 +28,7 @@ struct World {
       : sim(seed),
         fabric(sim, net::FabricConfig{}),
         dfs(sim, fabric),
-        registry(sim, fabric, dfs),
-        rt{sim, fabric, dfs, registry} {
+        registry(sim, fabric, dfs) {
     for (std::size_t i = 0; i < client_nodes; ++i) {
       nodes.push_back(net::NodeId{static_cast<std::uint32_t>(i)});
     }
@@ -40,10 +39,10 @@ struct World {
   }
 
   std::unique_ptr<Pacon> make_client(std::uint32_t node) {
-    PaconConfig cfg;
-    cfg.workspace = Path::parse("/app");
+    RegionConfig cfg;
+    cfg.root = Path::parse("/app");
     cfg.nodes = nodes;
-    return std::make_unique<Pacon>(rt, net::NodeId{node}, std::move(cfg));
+    return std::make_unique<Pacon>(registry, net::NodeId{node}, cfg);
   }
 
   /// Lazily installs a link-targeted fault topology on the fabric (same
@@ -61,7 +60,6 @@ struct World {
   net::Fabric fabric;
   dfs::DfsCluster dfs;
   RegionRegistry registry;
-  PaconRuntime rt;
   std::vector<net::NodeId> nodes;
   std::unique_ptr<sim::LinkFaultMatrix> faults;
 };

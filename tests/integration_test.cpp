@@ -17,8 +17,7 @@ namespace pacon {
 namespace {
 
 using core::Pacon;
-using core::PaconConfig;
-using core::PaconRuntime;
+using core::RegionConfig;
 using core::RegionRegistry;
 using fs::FsError;
 using fs::Path;
@@ -30,8 +29,7 @@ struct World {
       : sim(seed),
         fabric(sim, net::FabricConfig{}),
         dfs(sim, fabric),
-        registry(sim, fabric, dfs),
-        rt{sim, fabric, dfs, registry} {
+        registry(sim, fabric, dfs) {
     for (std::size_t i = 0; i < client_nodes; ++i) {
       nodes.push_back(net::NodeId{static_cast<std::uint32_t>(i)});
     }
@@ -67,19 +65,18 @@ struct World {
   net::Fabric fabric;
   dfs::DfsCluster dfs;
   RegionRegistry registry;
-  PaconRuntime rt;
   std::vector<net::NodeId> nodes;
 };
 
 TEST(Integration, MixedWorkloadConvergesToConsistentDfsState) {
   World w;
   w.provision("/app");
-  PaconConfig cfg;
-  cfg.workspace = Path::parse("/app");
+  RegionConfig cfg;
+  cfg.root = Path::parse("/app");
   cfg.nodes = w.nodes;
   std::vector<std::unique_ptr<Pacon>> clients;
   for (std::uint32_t n = 0; n < 4; ++n) {
-    clients.push_back(std::make_unique<Pacon>(w.rt, net::NodeId{n}, cfg));
+    clients.push_back(std::make_unique<Pacon>(w.registry, net::NodeId{n}, cfg));
   }
 
   // Each client runs a mixed stream: mkdir trees, creates, small writes,
@@ -126,10 +123,10 @@ TEST(Integration, MixedWorkloadConvergesToConsistentDfsState) {
 TEST(Integration, PaconViewMatchesDfsViewAfterDrain) {
   World w;
   w.provision("/app");
-  PaconConfig cfg;
-  cfg.workspace = Path::parse("/app");
+  RegionConfig cfg;
+  cfg.root = Path::parse("/app");
   cfg.nodes = w.nodes;
-  Pacon p(w.rt, net::NodeId{0}, cfg);
+  Pacon p(w.registry, net::NodeId{0}, cfg);
   sim::run_task(w.sim, [](World& world, Pacon& pc) -> Task<> {
     for (int i = 0; i < 25; ++i) {
       (void)co_await pc.create(Path::parse("/app/f" + std::to_string(i)),
@@ -153,16 +150,16 @@ TEST(Integration, TwoApplicationsIsolatedThenShared) {
   World w;
   w.provision("/a");
   w.provision("/b");
-  PaconConfig ca;
-  ca.workspace = Path::parse("/a");
+  RegionConfig ca;
+  ca.root = Path::parse("/a");
   ca.nodes = {w.nodes[0], w.nodes[1]};
   ca.creds = {1001, 1001};
-  PaconConfig cb;
-  cb.workspace = Path::parse("/b");
+  RegionConfig cb;
+  cb.root = Path::parse("/b");
   cb.nodes = {w.nodes[2], w.nodes[3]};
   cb.creds = {1002, 1002};
-  Pacon appa(w.rt, net::NodeId{0}, ca);
-  Pacon appb(w.rt, net::NodeId{2}, cb);
+  Pacon appa(w.registry, net::NodeId{0}, ca);
+  Pacon appb(w.registry, net::NodeId{2}, cb);
 
   sim::run_task(w.sim, [](Simulation& s, Pacon& a, Pacon& b) -> Task<> {
     // Isolated phase: both hammer their own workspaces concurrently.
@@ -201,10 +198,10 @@ TEST(Integration, RegionsOverBusyDfsStillConverge) {
   World w;
   w.provision("/app");
   w.provision("/raw");
-  PaconConfig cfg;
-  cfg.workspace = Path::parse("/app");
+  RegionConfig cfg;
+  cfg.root = Path::parse("/app");
   cfg.nodes = w.nodes;
-  Pacon p(w.rt, net::NodeId{0}, cfg);
+  Pacon p(w.registry, net::NodeId{0}, cfg);
   dfs::DfsClient raw(w.sim, w.dfs, net::NodeId{5});
   sim::run_task(w.sim, [](Simulation& s, Pacon& pc, dfs::DfsClient& io) -> Task<> {
     std::vector<Task<>> procs;

@@ -26,8 +26,7 @@ struct World {
   explicit World(std::size_t client_nodes = 3)
       : fabric(sim, net::FabricConfig{}),
         dfs(sim, fabric),
-        registry(sim, fabric, dfs),
-        rt{sim, fabric, dfs, registry} {
+        registry(sim, fabric, dfs) {
     for (std::size_t i = 0; i < client_nodes; ++i) {
       nodes.push_back(net::NodeId{static_cast<std::uint32_t>(i)});
     }
@@ -38,17 +37,16 @@ struct World {
   }
 
   std::unique_ptr<Pacon> make_client(std::uint32_t node) {
-    PaconConfig cfg;
-    cfg.workspace = Path::parse("/app");
+    RegionConfig cfg;
+    cfg.root = Path::parse("/app");
     cfg.nodes = nodes;
-    return std::make_unique<Pacon>(rt, net::NodeId{node}, std::move(cfg));
+    return std::make_unique<Pacon>(registry, net::NodeId{node}, cfg);
   }
 
   sim::Simulation sim;
   net::Fabric fabric;
   dfs::DfsCluster dfs;
   RegionRegistry registry;
-  PaconRuntime rt;
   std::vector<net::NodeId> nodes;
 };
 
