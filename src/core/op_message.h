@@ -39,7 +39,7 @@ struct OpMessage {
   std::uint64_t op_id = 0;
   /// Tracing context: the commit span opened when this op was published
   /// (0 = untraced run). Riding in the message is what carries causality
-  /// across the pub/sub hop -- and, because the WAL stores whole messages,
+  /// across the commit-queue hop -- and, because the WAL stores whole messages,
   /// across commit-process crashes into redelivery.
   obs::SpanId span = obs::kNoSpan;
 };

@@ -92,13 +92,6 @@ ConsistentRegion::ConsistentRegion(sim::Simulation& sim, net::Fabric& fabric,
   kv::KvConfig cache_cfg = config_.cache;
   cache_cfg.lru_eviction = false;
   cache_ = std::make_unique<kv::MemCacheCluster>(sim_, fabric_, cache_cfg);
-  bus_ = std::make_unique<net::PubSubBus<OpMessage>>(sim_, fabric_);
-  // The commit queue models the prototype's ZeroMQ-over-TCP transport:
-  // retransmitted and deduped, so queue messages are only lost with their
-  // endpoint. Wire-level fault injection bites the RPC planes (cache, DFS);
-  // a silently dropped barrier sentinel would wedge the epoch protocol in a
-  // way no real TCP queue does.
-  bus_->set_reliable_transport(true);
   pending_by_hash_.reserve(4096);
 
   sim::MetricScope scope = sim_.metrics().scoped(region_metric_scope(config_.root));
@@ -106,11 +99,7 @@ ConsistentRegion::ConsistentRegion(sim::Simulation& sim, net::Fabric& fabric,
 
   for (const auto node : config_.nodes) {
     cache_->add_server(node);
-    auto state = std::make_unique<NodeState>();
-    state->node = node;
-    state->topic = node_topic(node);
-    state->queue = bus_->subscribe(state->topic, node);
-    state->topic_handle = bus_->topic_handle(state->topic);
+    auto state = std::make_unique<NodeState>(sim_, fabric_, node);
     state->dfs_client = std::make_unique<dfs::DfsClient>(
         sim_, dfs_, node, dfs::DfsClientConfig{.creds = config_.creds});
     state->ordered = std::make_unique<sim::Channel<CommitTicket>>(sim_);
@@ -176,7 +165,6 @@ void ConsistentRegion::pending_decrement(const OpMessage& msg) {
 }
 
 void ConsistentRegion::note_degraded(obs::SpanId span) {
-  ++degraded_ops_;
   degraded_ctr_.add();
   degraded_gauge_.set(1);
   if (obs::Tracer* tracer = sim_.tracer(); tracer != nullptr && span != obs::kNoSpan) {
@@ -186,21 +174,17 @@ void ConsistentRegion::note_degraded(obs::SpanId span) {
 
 ConsistentRegion::~ConsistentRegion() {
   stop_evictor_ = true;
-  // Shut the commit pipeline down cleanly: unsubscribing and closing each
-  // stage's channel dequeues the blocked sorter/committer/retry loops, so no
+  // Shut the commit pipeline down cleanly: closing each stage's queue or
+  // channel dequeues the blocked sorter/committer/retry loops, so no
   // loop is left parked in the wait queue of a destructed channel. If the
   // simulation keeps running, the woken loops observe end-of-stream and
   // exit; at teardown the kernel reclaims them either way.
   for (auto& node : node_states_) {
-    bus_->unsubscribe(node->topic, node->queue);
+    node->queue.close();
     node->ordered->close();
     node->retry_queue->close();
     node->wal->stop();
   }
-}
-
-std::string ConsistentRegion::node_topic(net::NodeId node) const {
-  return config_.root.str() + "#" + std::to_string(node.value);
 }
 
 std::uint32_t ConsistentRegion::register_client(net::NodeId node) {
@@ -304,7 +288,7 @@ void ConsistentRegion::publish(std::uint32_t client, OpMessage msg, obs::SpanId 
   msg.op_id = ++next_op_id_;
   if (obs::Tracer* tracer = sim_.tracer(); tracer != nullptr && parent != obs::kNoSpan) {
     // The commit span deliberately outlives this call: it rides inside the
-    // message across the pub/sub hop (and any WAL redelivery) and closes
+    // message across the queue hop (and any WAL redelivery) and closes
     // only when apply_and_account settles the op's fate on the DFS.
     msg.span = tracer->begin_span("commit", parent, home->node.value);
   }
@@ -314,7 +298,7 @@ void ConsistentRegion::publish(std::uint32_t client, OpMessage msg, obs::SpanId 
            " path=" + msg.path + " epoch=" + std::to_string(msg.epoch) +
            " client=" + std::to_string(client);
   });
-  bus_->publish(home->node, home->topic_handle, std::move(msg));
+  home->queue.push(std::move(msg));
 }
 
 // ---- Create / mkdir ----------------------------------------------------------
@@ -531,7 +515,7 @@ sim::Task<ConsistentRegion::BarrierResult> ConsistentRegion::run_barrier(net::No
     b.client_id = cid;
     b.epoch = e;
     b.timestamp = sim_.now();
-    bus_->publish(home->node, home->topic_handle, std::move(b));
+    home->queue.push(std::move(b));
     client_epochs_[cid] = e + 1;
   }
   ++barriers_run_;
@@ -545,11 +529,9 @@ sim::Task<ConsistentRegion::BarrierResult> ConsistentRegion::run_barrier(net::No
   co_return BarrierResult{e, ok};
 }
 
-sim::Task<FsResult<void>> ConsistentRegion::rmdir(net::NodeId from, fs::Path path,
-                                                  obs::SpanId parent) {
-  auto perm = co_await check_permission(from, path.parent(), fs::Access::write, parent);
-  if (!perm) co_return perm;
-
+template <typename Op>
+std::invoke_result_t<Op&> ConsistentRegion::behind_barrier(net::NodeId from, obs::SpanId parent,
+                                                           Op op) {
   for (std::size_t attempt = 0;; ++attempt) {
     const BarrierResult barrier = co_await run_barrier(from, parent);
     if (!barrier.ok) {
@@ -562,26 +544,12 @@ sim::Task<FsResult<void>> ConsistentRegion::rmdir(net::NodeId from, fs::Path pat
       co_await sim_.delay(kBarrierRetryDelay);
       continue;
     }
-    // sync commit (Table I)
-    auto result = co_await dfs_for(from).rmdir(path, parent);
-    if (result) {
-      ++invalidation_epoch_;
-      // Clean the cached subtree (paper: recursive removing cleans the cache).
-      const std::string prefix = subtree_prefix(path);
-      for (std::size_t s = 0; s < cache_->server_count(); ++s) {
-        auto& server = cache_->server_on(config_.nodes[s]);
-        for (const auto& key : server.keys_with_prefix(prefix)) {
-          server.apply(kv::KvRequest{kv::KvRequest::Op::del, key, {}, 0, 0});
-        }
-        server.apply(kv::KvRequest{kv::KvRequest::Op::del, path.str(), {}, 0, 0});
-      }
-    }
+    auto result = co_await op();
     epochs_.complete_epoch(barrier.epoch);
     barrier_mutex_.unlock();
     // The MDS never answers io, so io here is a transport failure (MDS down
-    // or message lost): replay the barrier + rmdir after a delay.
-    if (!result && result.error() == FsError::io &&
-        attempt + 1 < kBarrierRetryLimit) {
+    // or message lost): replay the barrier and the op after a delay.
+    if (!result && result.error() == FsError::io && attempt + 1 < kBarrierRetryLimit) {
       co_await sim_.delay(kBarrierRetryDelay);
       continue;
     }
@@ -589,31 +557,39 @@ sim::Task<FsResult<void>> ConsistentRegion::rmdir(net::NodeId from, fs::Path pat
   }
 }
 
+sim::Task<FsResult<void>> ConsistentRegion::rmdir(net::NodeId from, fs::Path path,
+                                                  obs::SpanId parent) {
+  auto perm = co_await check_permission(from, path.parent(), fs::Access::write, parent);
+  if (!perm) co_return perm;
+  co_return co_await behind_barrier(from, parent,
+                                    [&] { return rmdir_on_dfs(from, path, parent); });
+}
+
+sim::Task<FsResult<void>> ConsistentRegion::rmdir_on_dfs(net::NodeId from, fs::Path path,
+                                                         obs::SpanId parent) {
+  auto result = co_await dfs_for(from).rmdir(path, parent);  // sync commit (Table I)
+  if (!result) co_return result;
+  ++invalidation_epoch_;
+  // Clean the cached subtree (paper: recursive removing cleans the cache).
+  const std::string prefix = subtree_prefix(path);
+  for (std::size_t s = 0; s < cache_->server_count(); ++s) {
+    auto& server = cache_->server_on(config_.nodes[s]);
+    for (const auto& key : server.keys_with_prefix(prefix)) {
+      server.apply(kv::KvRequest{kv::KvRequest::Op::del, key, {}, 0, 0});
+    }
+    server.apply(kv::KvRequest{kv::KvRequest::Op::del, path.str(), {}, 0, 0});
+  }
+  co_return result;
+}
+
 sim::Task<FsResult<std::vector<fs::DirEntry>>> ConsistentRegion::readdir(
     net::NodeId from, fs::Path path, obs::SpanId parent) {
   auto perm = co_await check_permission(from, path, fs::Access::read, parent);
   if (!perm) co_return fs::fail(perm.error());
-  // Barrier, then delegate to the DFS: avoids a full cache-table scan and is
-  // correct because all earlier operations have been committed (Table I).
-  for (std::size_t attempt = 0;; ++attempt) {
-    const BarrierResult barrier = co_await run_barrier(from, parent);
-    if (!barrier.ok) {
-      epochs_.complete_epoch(barrier.epoch);
-      barrier_mutex_.unlock();
-      if (attempt + 1 >= kBarrierRetryLimit) co_return fs::fail(FsError::io);
-      co_await sim_.delay(kBarrierRetryDelay);
-      continue;
-    }
-    auto entries = co_await dfs_for(from).readdir(path, parent);
-    epochs_.complete_epoch(barrier.epoch);
-    barrier_mutex_.unlock();
-    if (!entries && entries.error() == FsError::io &&
-        attempt + 1 < kBarrierRetryLimit) {
-      co_await sim_.delay(kBarrierRetryDelay);  // transport failure: replay
-      continue;
-    }
-    co_return entries;
-  }
+  // Delegate to the DFS behind a barrier: avoids a full cache-table scan and
+  // is correct because all earlier operations have been committed (Table I).
+  co_return co_await behind_barrier(from, parent,
+                                    [&] { return dfs_for(from).readdir(path, parent); });
 }
 
 // ---- File data -------------------------------------------------------------------
@@ -748,7 +724,7 @@ sim::Task<> ConsistentRegion::sorter_loop(NodeState& node) {
   // infrastructure: it survives commit-process crashes, and its WAL append
   // is what makes a consumed-but-uncommitted op redeliverable.
   for (;;) {
-    auto msg = co_await node.queue->recv();
+    auto msg = co_await node.queue.recv();
     if (!msg) break;
     if (is_barrier(*msg)) {
       if (msg->epoch < epochs_.current_epoch()) continue;  // aborted epoch's stragglers
@@ -779,7 +755,6 @@ sim::Task<> ConsistentRegion::committer_loop(NodeState& node) {
   // and counts as a duplicate, or is absorbed as an EEXIST replay.
   for (const std::uint64_t seq : node.wal->unacked()) {
     if (node.commit_generation != generation) co_return;
-    ++redelivered_ops_;
     redelivered_ctr_.add();
     // Still logged: only this loop acks records it has not reached yet (the
     // retry worker holds only records it already passed). Read before the
@@ -836,7 +811,6 @@ sim::Task<> ConsistentRegion::retry_loop(NodeState& node) {
     if (!ticket) break;
     if (node.commit_generation != generation) co_return;
     for (std::size_t attempt = 0;; ++attempt) {
-      ++commit_retries_;
       retries_ctr_.add();
       if (obs::Tracer* tracer = sim_.tracer(); tracer != nullptr) {
         if (const OpMessage* msg = node.wal->find(ticket->seq);
@@ -905,7 +879,6 @@ sim::Task<bool> ConsistentRegion::apply_and_account(NodeState& node, std::uint64
   }
   if (status == FsError::ok || status == FsError::exists) {
     // exists = an idempotent replay (e.g. recovery re-commit); accept.
-    ++committed_ops_;
     committed_ctr_.add();
     node.wal->ack(seq);
     pending_decrement(msg);

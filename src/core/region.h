@@ -5,7 +5,7 @@
 //   * the distributed in-memory metadata cache (Memcached-like servers on
 //     the application's own nodes, keyed by full path over a DHT) -- the
 //     strongly-consistent primary copy;
-//   * per-node commit queues (pub/sub) and commit processes that apply
+//   * per-node commit queues and commit processes that apply
 //     operations to the underlying DFS -- the asynchronously-updated backup
 //     copy -- using independent commit with resubmission for non-dependent
 //     operations and barrier-epoch commit for dependent ones;
@@ -21,9 +21,11 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
+#include "core/commit_queue.h"
 #include "core/commit_wal.h"
 #include "core/epoch.h"
 #include "core/meta_entry.h"
@@ -34,7 +36,6 @@
 #include "fs/error.h"
 #include "fs/path.h"
 #include "kv/memcache.h"
-#include "net/pubsub.h"
 #include "obs/span_id.h"
 #include "sim/disk.h"
 #include "sim/metrics.h"
@@ -190,21 +191,21 @@ class ConsistentRegion {
   // ---- Introspection -------------------------------------------------------
 
   std::uint64_t pending_commits() const { return pending_total_; }
-  std::uint64_t committed_ops() const { return committed_ops_; }
-  std::uint64_t commit_retries() const { return commit_retries_; }
+  std::uint64_t committed_ops() const { return committed_ctr_.value(); }
+  std::uint64_t commit_retries() const { return retries_ctr_.value(); }
   std::uint64_t evicted_entries() const { return evicted_entries_; }
   std::uint64_t barriers_run() const { return barriers_run_; }
   std::uint64_t commit_crashes() const { return commit_crashes_; }
   std::uint64_t barrier_aborts() const { return barrier_aborts_; }
   /// Ops replayed from a WAL after a commit-process restart.
-  std::uint64_t redelivered_ops() const { return redelivered_ops_; }
+  std::uint64_t redelivered_ops() const { return redelivered_ctr_.value(); }
   /// Redelivered ops that were already acknowledged (idempotency-id dedup
   /// hits: the op reached the committer twice but the DFS only once... or
   /// twice with EEXIST absorbed -- either way applied effectively once).
   std::uint64_t duplicate_deliveries() const { return duplicate_deliveries_; }
   /// Ops that fell back to synchronous DFS commit because the cache was
   /// unreachable (degraded pass-through mode).
-  std::uint64_t degraded_ops() const { return degraded_ops_; }
+  std::uint64_t degraded_ops() const { return degraded_ctr_.value(); }
   /// Newest checkpoint id, or 0 when none was taken yet.
   std::uint64_t latest_checkpoint() const { return last_checkpoint_id_; }
 
@@ -223,13 +224,12 @@ class ConsistentRegion {
 
  private:
   struct NodeState {
+    NodeState(sim::Simulation& sim, net::Fabric& fabric, net::NodeId id)
+        : node(id), queue(sim, fabric, id) {}
+
     net::NodeId node;
-    /// Commit-queue topic name and its pre-resolved bus handle: both are
-    /// fixed for the region's lifetime, so publish paths never rebuild the
-    /// topic string or re-walk the bus's topic map.
-    std::string topic;
-    net::PubSubBus<OpMessage>::TopicHandle topic_handle = nullptr;
-    std::shared_ptr<net::PubSubBus<OpMessage>::Subscription> queue;
+    /// Ops pushed by this node's clients, drained by its sorter.
+    CommitQueue queue;
     std::unique_ptr<dfs::DfsClient> dfs_client;
     /// Sorted operation stream between the sorter and committer halves of
     /// the commit process (barrier sentinels included). Tickets name WAL
@@ -299,7 +299,7 @@ class ConsistentRegion {
 
   /// Publishes `msg` on `client`'s node queue. A traced caller (`parent`)
   /// gets a "commit" span opened here and carried inside the message; it
-  /// stays open across the pub/sub hop (and any WAL redelivery) until
+  /// stays open across the queue hop (and any WAL redelivery) until
   /// apply_and_account closes it with the op's fate.
   void publish(std::uint32_t client, OpMessage msg, obs::SpanId parent = obs::kNoSpan);
 
@@ -318,6 +318,16 @@ class ConsistentRegion {
   /// Runs one barrier: all clients emit barrier messages; waits until every
   /// commit process drained the epoch (or the epoch aborts).
   sim::Task<BarrierResult> run_barrier(net::NodeId from, obs::SpanId parent = obs::kNoSpan);
+
+  /// Runs the dependent op `op()` (a sim::Task<fs::FsResult<T>>) behind a
+  /// barrier, then completes the epoch. An aborted barrier and an io
+  /// (transport) failure of the op both replay barrier and op after
+  /// kBarrierRetryDelay; the two share one budget of kBarrierRetryLimit
+  /// attempts, after which the result is FsError::io.
+  template <typename Op>
+  std::invoke_result_t<Op&> behind_barrier(net::NodeId from, obs::SpanId parent, Op op);
+  /// rmdir's dependent op: the DFS rmdir, then the cached subtree's cleanup.
+  sim::Task<fs::FsResult<void>> rmdir_on_dfs(net::NodeId from, fs::Path path, obs::SpanId parent);
 
   sim::Task<> sorter_loop(NodeState& node);
   sim::Task<> committer_loop(NodeState& node);
@@ -362,8 +372,6 @@ class ConsistentRegion {
                                              const fs::Path& to);
   sim::Task<fs::FsResult<void>> remove_subtree(dfs::DfsClient& io, const fs::Path& target);
 
-  std::string node_topic(net::NodeId node) const;
-
   sim::Simulation& sim_;
   net::Fabric& fabric_;
   dfs::DfsCluster& dfs_;
@@ -371,7 +379,6 @@ class ConsistentRegion {
   PermissionTable permissions_;
 
   std::unique_ptr<kv::MemCacheCluster> cache_;
-  std::unique_ptr<net::PubSubBus<OpMessage>> bus_;
   std::vector<std::unique_ptr<NodeState>> node_states_;
   /// dfs_for's clients on non-member nodes (merged readers), one per node.
   std::vector<std::unique_ptr<dfs::DfsClient>> reader_dfs_;
@@ -409,20 +416,19 @@ class ConsistentRegion {
   std::uint64_t last_checkpoint_id_ = 0;
   std::uint64_t next_op_id_ = 0;
   std::uint32_t next_client_id_ = 0;
-  std::uint64_t committed_ops_ = 0;
   std::uint64_t invalidation_epoch_ = 0;
-  std::uint64_t commit_retries_ = 0;
   std::uint64_t evicted_entries_ = 0;
   std::uint64_t barriers_run_ = 0;
   std::uint64_t commit_crashes_ = 0;
   std::uint64_t barrier_aborts_ = 0;
-  std::uint64_t redelivered_ops_ = 0;
   std::uint64_t duplicate_deliveries_ = 0;
-  std::uint64_t degraded_ops_ = 0;
 
   // Scoped metric handles under "region.<root>" (see DESIGN.md section 11),
   // resolved once at construction: registry lookups are string-keyed map
-  // walks, too slow for the per-op paths that update these.
+  // walks, too slow for the per-op paths that update these. The counters
+  // are the only record of the statistics their accessors report; a
+  // RegionRegistry holds one region per root, so no two regions of one
+  // simulation share them.
   sim::Gauge& queue_depth_gauge_;   // commit_queue_depth: queued-not-committed ops
   sim::Gauge& degraded_gauge_;      // degraded_latch: 1 after any pass-through op
   sim::Counter& committed_ctr_;

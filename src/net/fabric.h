@@ -3,8 +3,8 @@
 // The Fabric charges wire time for messages between nodes: a fixed one-way
 // software+switch latency, a size-proportional serialization term, and
 // multiplicative jitter. It also tracks node liveness for failure-injection
-// experiments. It does not buffer or deliver messages itself; RPC and
-// pub/sub layers ask it how long a given hop takes.
+// experiments. It does not buffer or deliver messages itself; RPC and the
+// commit queue ask it how long a given hop takes.
 #pragma once
 
 #include <cassert>
@@ -79,14 +79,10 @@ class Fabric {
   bool reachable(NodeId from, NodeId to) const { return node_up(from) && node_up(to); }
 
   /// Installs (or clears, with nullptr) the message fault topology that
-  /// RPC and pub/sub consult for every cross-node message. Not owned. A
-  /// fabric-wide fault profile is the matrix's global default.
+  /// RPC consults for every cross-node message. Not owned. A fabric-wide
+  /// fault profile is the matrix's global default.
   void set_fault_matrix(sim::LinkFaultMatrix* matrix) { fault_matrix_ = matrix; }
   sim::LinkFaultMatrix* fault_matrix() const { return fault_matrix_; }
-
-  /// True when a fault matrix is installed; the network layers branch to
-  /// their fault-aware paths on this.
-  bool faults_installed() const { return fault_matrix_ != nullptr; }
 
   /// Fate of one message on the `from`->`to` hop. Loopback traffic is exempt
   /// (same-host queues neither lose nor reorder), as is everything when no

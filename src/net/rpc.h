@@ -16,8 +16,8 @@
 // call helper. Handlers never throw -- they report failures in the response
 // status -- so a throwing handler fails its worker, a root process nobody
 // awaits, which ends the program (sim/task.h). Duplicate verdicts are
-// ignored at this layer: a request/response stream behaves like TCP, which
-// dedups retransmissions; only the pub/sub bus surfaces duplicates.
+// ignored: a request/response stream behaves like TCP, which dedups
+// retransmissions.
 #pragma once
 
 #include <coroutine>

@@ -93,8 +93,8 @@ class Simulation {
   /// void-callable (move-only captures welcome); captures up to
   /// SmallFunc::kInlineBytes are stored without heap allocation in a
   /// recycled slot pool, so the dominant delivery paths never allocate.
-  /// Inline for the same reason as schedule(): the pub/sub delivery path
-  /// pays this per message.
+  /// Inline for the same reason as schedule(): the commit-queue delivery
+  /// path pays this per message.
   void schedule_callback(SimTime at, SmallFunc fn) {
     assert(at >= now_);
     assert(fn);

@@ -1,10 +1,10 @@
 // Move-only callable with small-buffer storage.
 //
 // std::function<void()> heap-allocates for any capture beyond two pointers
-// and requires copyability; the kernel's scheduled callbacks (pub/sub
+// and requires copyability; the kernel's scheduled callbacks (commit-queue
 // deliveries carrying a whole OpMessage, timer lambdas holding shared_ptrs)
 // blow past that on every event. SmallFunc inlines captures up to
-// kInlineBytes -- sized to fit a pub/sub delivery record -- and only falls
+// kInlineBytes -- sized to fit a commit-queue delivery -- and only falls
 // back to the heap beyond that, and it accepts move-only captures so
 // messages can be *moved* through the event queue instead of copied.
 #pragma once
@@ -19,9 +19,9 @@ namespace pacon::sim {
 
 class SmallFunc {
  public:
-  /// Inline capture capacity. 128 bytes holds a pub/sub delivery -- a
-  /// 16-byte shared_ptr to the subscription plus a moved 112-byte OpMessage
-  /// -- without touching the allocator.
+  /// Inline capture capacity. 128 bytes holds a commit-queue delivery -- a
+  /// 16-byte shared_ptr to the queue's channel plus a moved 112-byte
+  /// OpMessage -- without touching the allocator.
   static constexpr std::size_t kInlineBytes = 128;
 
   SmallFunc() = default;

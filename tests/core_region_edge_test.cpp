@@ -171,6 +171,13 @@ TEST(RegionEdge, MergedSpilledFileIsReadableFromANonMember) {
     if (attr) { EXPECT_EQ(attr->size, 8000u); }
     EXPECT_EQ((co_await a.read(big, 0, 8000)).value_or(0), 8000u);
     EXPECT_EQ((co_await a.read(big, 4000, 4000)).value_or(0), 4000u);
+    // Past end of file the DFS read is short, as an inline file's is.
+    auto over = co_await a.read(big, 6000, 4000);
+    EXPECT_TRUE(over.has_value());
+    if (over) { EXPECT_EQ(*over, 2000u); }
+    auto past = co_await a.read(big, 8000, 4000);
+    EXPECT_TRUE(past.has_value());
+    if (past) { EXPECT_EQ(*past, 0u); }
   }(*mine, *theirs));
 }
 

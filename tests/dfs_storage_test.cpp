@@ -53,14 +53,16 @@ TEST(Storage, UnalignedWriteSplitsAtChunkBoundary) {
   EXPECT_EQ(f.cluster.storage(1).bytes_written(), 1000u);
 }
 
-TEST(Storage, ReadWithinWrittenRangeSucceedsBeyondFails) {
+TEST(Storage, ReadWithinWrittenRangeIsWholeBeyondIsShort) {
   Fixture f;
   sim::run_task(f.sim, [](DfsClient& c) -> Task<> {
     (void)co_await c.create(Path::parse("/f"), fs::FileMode::file_default());
     (void)co_await c.write(Path::parse("/f"), 0, 10'000);
-    EXPECT_TRUE((co_await c.read(Path::parse("/f"), 5'000, 5'000)).has_value());
-    EXPECT_FALSE((co_await c.read(Path::parse("/f"), 5'000, 6'000)).has_value());
+    EXPECT_EQ((co_await c.read(Path::parse("/f"), 5'000, 5'000)).value_or(0), 5'000u);
+    EXPECT_EQ((co_await c.read(Path::parse("/f"), 5'000, 6'000)).value_or(0), 5'000u);
   }(f.client));
+  // The disk moved only the bytes returned.
+  EXPECT_EQ(f.cluster.storage(0).bytes_read(), 10'000u);
 }
 
 TEST(Storage, SparseWriteLeavesHole) {
@@ -72,9 +74,11 @@ TEST(Storage, SparseWriteLeavesHole) {
     (void)co_await c.write(Path::parse("/f"), chunk, 1000);
     auto attr = co_await c.getattr(Path::parse("/f"));
     EXPECT_EQ(attr->size, chunk + 1000);
-    // The hole (chunk 0) was never written: reads there fail.
-    EXPECT_FALSE((co_await c.read(Path::parse("/f"), 0, 100)).has_value());
-    EXPECT_TRUE((co_await c.read(Path::parse("/f"), chunk, 1000)).has_value());
+    // The hole (chunk 0) was never written: a read there moves nothing.
+    auto hole = co_await c.read(Path::parse("/f"), 0, 100);
+    EXPECT_TRUE(hole.has_value());
+    if (hole) { EXPECT_EQ(*hole, 0u); }
+    EXPECT_EQ((co_await c.read(Path::parse("/f"), chunk, 1000)).value_or(0), 1000u);
   }(f.client));
 }
 

@@ -385,9 +385,25 @@ TEST(DfsData, ReadBackWrittenRange) {
     auto bytes = co_await c.read(Path::parse("/f"), 0, 1 << 20);
     EXPECT_TRUE(bytes.has_value());
     EXPECT_EQ(*bytes, 1u << 20);
-    // Reading past what was written fails.
+    // Reading past what was written moves nothing.
     auto past = co_await c.read(Path::parse("/f"), 1 << 20, 4096);
-    EXPECT_FALSE(past.has_value());
+    EXPECT_TRUE(past.has_value());
+    if (past) { EXPECT_EQ(*past, 0u); }
+  }(f.client));
+}
+
+TEST(DfsData, ReadCrossingEndOfFileIsShort) {
+  Fixture f;
+  sim::run_task(f.sim, [](DfsClient& c) -> Task<> {
+    const Path big = Path::parse("/big");
+    (void)co_await c.create(big, fs::FileMode::file_default());
+    (void)co_await c.write(big, 0, 8000);
+    auto over = co_await c.read(big, 6000, 4000);
+    EXPECT_TRUE(over.has_value());
+    if (over) { EXPECT_EQ(*over, 2000u); }
+    auto past = co_await c.read(big, 8000, 4000);
+    EXPECT_TRUE(past.has_value());
+    if (past) { EXPECT_EQ(*past, 0u); }
   }(f.client));
 }
 
