@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Byte-compares the outputs of two builds: every figure and ablation bench
-# and every example, run once from each tree. A refactor that must not change
+# and every example, run once from each tree, plus the event trace that
+# tests/pacon_determinism_check dumps. A refactor that must not change
 # behaviour passes when nothing differs.
 #
 # Usage: scripts/compare_outputs.sh PARENT_BUILD CHANGE_BUILD
@@ -11,8 +12,11 @@
 # (fig08_multi_app peaks near 1 GB per tree; the whole run takes minutes).
 # Every run gets its own working directory, and each tree its own
 # PACON_METRICS_DIR, so the run-report sidecars land apart. Compared: stdout,
-# stderr and exit status of every program, and every sidecar file. Left out:
-# micro_substrates, perf_kernel and mega_scalability, which print host time.
+# stderr and exit status of every program, every sidecar file, and the
+# reference-seed kernel trace of pacon_determinism_check (PACON_TRACE_DUMP;
+# its gtest log, which prints host time, is kept beside the outputs but not
+# compared). Left out: micro_substrates, perf_kernel and mega_scalability,
+# which print host time.
 #
 # Exit status: 0 when every output matches, 1 on any difference (the diff is
 # printed and the run directory kept), 2 on bad usage or a missing program.
@@ -42,7 +46,7 @@ for build in "$1" "$2"; do
     echo "compare_outputs: no build tree at $build" >&2
     exit 2
   }
-  for p in "${programs[@]}"; do
+  for p in "${programs[@]}" tests/pacon_determinism_check; do
     if [[ ! -x "$dir/$p" ]]; then
       echo "compare_outputs: $dir/$p is missing; build the tree first" >&2
       exit 2
@@ -65,6 +69,10 @@ run_tree() {
       >"$out/$name.stdout" 2>"$out/$name.stderr") || status=$?
     echo "$status" >"$out/$name.status"
   done
+  status=0
+  PACON_TRACE_DUMP="$out/determinism.trace" "$build/tests/pacon_determinism_check" \
+    >"$out.determinism.log" 2>&1 || status=$?
+  echo "$status" >"$out/pacon_determinism_check.status"
 }
 
 echo "compare_outputs: running ${#programs[@]} programs per tree in $work" >&2
@@ -77,7 +85,8 @@ wait "$change_pid"
 
 if diff -r "$work/parent" "$work/change"; then
   n_sidecars="$(find "$work/parent/reports" -type f | wc -l)"
-  echo "compare_outputs: identical (${#programs[@]} programs, $n_sidecars sidecars)"
+  echo "compare_outputs: identical (${#programs[@]} programs, $n_sidecars sidecars," \
+    "determinism trace)"
   rm -rf "$work"
   exit 0
 fi

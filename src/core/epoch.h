@@ -76,8 +76,6 @@ class EpochCoordinator {
     drained_gate(e).open();
   }
 
-  bool is_aborted(std::uint64_t e) const { return aborted_.contains(e); }
-
   /// The dependent op has been applied (or the barrier abandoned); epoch `e`
   /// is closed. Commit processes blocked on epoch e+1 may proceed.
   void complete_epoch(std::uint64_t e) {

@@ -19,9 +19,9 @@ namespace {
 /// Backoff schedule for the commit retry worker: from 200 us, doubling to
 /// at most 2 ms, +-25% deterministic jitter from the region's forked rng
 /// stream, never giving up (independent commit resubmits until the DFS
-/// accepts, Section III.E.1). base_delay also paces the fixed-interval
-/// waits: a data write waiting for its file's create to reach the DFS, and
-/// a barrier waiting for parked resubmissions.
+/// accepts, Section III.E.1). RetryPolicy::kBaseDelay also paces the
+/// fixed-interval waits: a data write waiting for its file's create to reach
+/// the DFS, and a barrier waiting for parked resubmissions.
 constexpr net::RetryPolicy kCommitRetry{.max_attempts = 0, .max_delay = 2'000_us};
 /// Pause before replaying a barrier whose epoch was aborted by a
 /// commit-process crash (or whose DFS call hit a transport failure), and
@@ -644,7 +644,7 @@ sim::Task<FsResult<std::uint64_t>> ConsistentRegion::write(net::NodeId from,
         if (spill > 0) {
           auto spilled = co_await io.write(path, 0, spill, parent);
           if (!spilled && spilled.error() == FsError::not_found) {
-            co_await sim_.delay(kCommitRetry.base_delay);
+            co_await sim_.delay(net::RetryPolicy::kBaseDelay);
             continue;
           }
           if (!spilled && spilled.error() == FsError::io) co_return fs::fail(FsError::io);
@@ -652,7 +652,7 @@ sim::Task<FsResult<std::uint64_t>> ConsistentRegion::write(net::NodeId from,
         auto wrote = co_await io.write(path, offset, length, parent);
         if (wrote) break;
         if (wrote.error() != FsError::not_found) co_return fs::fail(wrote.error());
-        co_await sim_.delay(kCommitRetry.base_delay);  // create not committed yet
+        co_await sim_.delay(net::RetryPolicy::kBaseDelay);  // create not committed yet
       }
       // Reflect the new size for cached readers (best effort, CAS-raced).
       co_return length;
@@ -785,7 +785,7 @@ sim::Task<> ConsistentRegion::committer_loop(NodeState& node) {
       // A barrier may only be reported once every operation of its epoch --
       // including ones parked for resubmission -- reached the DFS.
       while (node.retrying > 0 && node.alive) {
-        co_await sim_.delay(kCommitRetry.base_delay);
+        co_await sim_.delay(net::RetryPolicy::kBaseDelay);
         if (node.commit_generation != generation) co_return;
       }
       epochs_.node_reached_barrier(ticket->epoch);

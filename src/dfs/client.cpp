@@ -189,14 +189,13 @@ std::vector<sim::Task<DataResponse>> DfsClient::chunk_calls(DataOp kind, fs::Ino
                                                             std::uint64_t offset,
                                                             std::uint64_t length,
                                                             obs::SpanId span) {
-  const std::uint64_t chunk_bytes = cluster_.config().chunk_bytes;
   std::vector<sim::Task<DataResponse>> calls;
   std::uint64_t pos = offset;
   const std::uint64_t end = offset + length;
   while (pos < end) {
-    const std::uint64_t chunk = pos / chunk_bytes;
-    const std::uint64_t in_chunk = pos % chunk_bytes;
-    const std::uint64_t take = std::min(end - pos, chunk_bytes - in_chunk);
+    const std::uint64_t chunk = pos / kChunkBytes;
+    const std::uint64_t in_chunk = pos % kChunkBytes;
+    const std::uint64_t take = std::min(end - pos, kChunkBytes - in_chunk);
     DataRequest req;
     req.op = kind;
     req.ino = ino;
@@ -239,20 +238,34 @@ sim::Task<FsResult<std::uint64_t>> DfsClient::read(const fs::Path& path, std::ui
   if (attr->is_dir()) co_return fs::fail(FsError::is_a_directory);
   const auto bytes = transferred(co_await sim::when_all_values(
       sim_, chunk_calls(DataOp::read, attr->ino, offset, length, op.id())));
-  if (bytes) op.finish("ok");
-  co_return bytes;
+  if (!bytes || *bytes == length) {
+    if (bytes) op.finish("ok");
+    co_return bytes;
+  }
+  // Short: the range crosses end of file or a hole (a never-written range,
+  // which reads as zeros). The file size tells the two apart.
+  const auto size = co_await size_of(attr->ino, op.id());
+  if (!size) co_return size;
+  op.finish("ok");
+  co_return offset >= *size ? 0 : std::min(length, *size - offset);
+}
+
+sim::Task<FsResult<std::uint64_t>> DfsClient::size_of(fs::Ino ino, obs::SpanId span) {
+  MetaRequest req;
+  req.op = MetaOp::getattr;
+  req.ino = ino;
+  req.creds = config_.creds;
+  const MetaResponse resp = co_await meta_call(std::move(req), span);
+  if (resp.status != FsError::ok) co_return fs::fail(resp.status);
+  co_return resp.attr.size;
 }
 
 sim::Task<FsResult<void>> DfsClient::fsync(const fs::Path& path, obs::SpanId span) {
   obs::Span op(span != obs::kNoSpan ? sim_.tracer() : nullptr, "dfs.fsync", span, node_.value);
   auto attr = co_await resolve(path, /*fresh_leaf=*/false, op.id());
   if (!attr) co_return fs::fail(attr.error());
-  MetaRequest req;
-  req.op = MetaOp::getattr;
-  req.ino = attr->ino;
-  req.creds = config_.creds;
-  const MetaResponse resp = co_await meta_call(std::move(req), op.id());
-  if (resp.status != FsError::ok) co_return fs::fail(resp.status);
+  const auto size = co_await size_of(attr->ino, op.id());
+  if (!size) co_return fs::fail(size.error());
   op.finish("ok");
   co_return FsResult<void>{};
 }

@@ -39,7 +39,6 @@ class DfsClient {
   DfsClient& operator=(const DfsClient&) = delete;
 
   net::NodeId node() const { return node_; }
-  const DfsClientConfig& config() const { return config_; }
 
   // Metadata operations (all paths absolute & canonical). The optional
   // trailing `span` is the caller's tracing context: traced ops get a
@@ -109,6 +108,10 @@ class DfsClient {
   /// touches.
   std::vector<sim::Task<DataResponse>> chunk_calls(DataOp kind, fs::Ino ino, std::uint64_t offset,
                                                    std::uint64_t length, obs::SpanId span);
+
+  /// The file's size from one MDS getattr of `ino`: what tells a short read
+  /// at end of file from one over a hole, and fsync's existence check.
+  sim::Task<fs::FsResult<std::uint64_t>> size_of(fs::Ino ino, obs::SpanId span);
 
   /// The client's two RPC helpers: a transport failure comes back as a
   /// response with status FsError::io (the MDS and storage servers never

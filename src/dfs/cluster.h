@@ -14,16 +14,14 @@
 
 namespace pacon::dfs {
 
+/// Stripe unit for file data.
+inline constexpr std::uint64_t kChunkBytes = 512ull << 10;
+
+/// Deployment addresses. Every server runs on its own NVMe device.
 struct DfsClusterConfig {
   net::NodeId mds_node{100'000};
   std::vector<net::NodeId> storage_nodes{net::NodeId{100'001}, net::NodeId{100'002},
                                          net::NodeId{100'003}};
-  MetaServerConfig meta{};
-  StorageServerConfig storage{};
-  sim::DiskConfig mds_disk = sim::DiskConfig::nvme();
-  sim::DiskConfig storage_disk = sim::DiskConfig::nvme();
-  /// Stripe unit for file data.
-  std::uint64_t chunk_bytes = 512ull << 10;
 };
 
 class DfsCluster {

@@ -26,28 +26,9 @@ namespace pacon::dfs {
 
 using namespace sim::literals;
 
-struct MetaServerConfig {
-  /// CPU service time for a pure-read operation (lookup/getattr/readdir).
-  sim::SimDuration read_cpu_time = 18_us;
-  /// CPU service time for a namespace mutation. Covers lock acquisition,
-  /// dentry + inode updates and RPC bookkeeping; calibrated so a single MDS
-  /// saturates in the tens of kilo-ops/s, as BeeGFS does in the paper.
-  sim::SimDuration write_cpu_time = 95_us;
-  /// Bytes journaled per mutation.
-  std::uint64_t wal_record_bytes = 192;
-  /// Extra readdir CPU per directory entry returned.
-  sim::SimDuration per_entry_cpu_time = 150_ns;
-  /// Server-side metadata cache capacity (inodes); misses read from disk.
-  std::size_t cache_capacity = 200'000;
-  /// RPC worker pool (MDS request-handler threads).
-  std::size_t workers = 8;
-  std::size_t queue_capacity = 4096;
-};
-
 class MetaServer {
  public:
-  MetaServer(sim::Simulation& sim, net::Fabric& fabric, net::NodeId node,
-             sim::SimDisk& disk, MetaServerConfig config = {});
+  MetaServer(sim::Simulation& sim, net::Fabric& fabric, net::NodeId node, sim::SimDisk& disk);
   MetaServer(const MetaServer&) = delete;
   MetaServer& operator=(const MetaServer&) = delete;
 
@@ -91,7 +72,6 @@ class MetaServer {
   sim::Simulation& sim_;
   net::NodeId node_;
   sim::SimDisk& disk_;
-  MetaServerConfig config_;
   // Every inode is its attributes alone. Entries live in a per-directory
   // table created with the first entry and erased with the directory, so
   // files and empty directories carry no child map. A dentry and its inode

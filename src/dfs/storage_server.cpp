@@ -4,12 +4,22 @@
 
 namespace pacon::dfs {
 
+namespace {
+
+/// CPU service time per chunk access, before the disk transfer.
+constexpr sim::SimDuration kOpCpuTime = 15_us;
+/// RPC worker pool (storage daemon threads) and its accept queue.
+constexpr std::size_t kWorkers = 16;
+constexpr std::size_t kQueueCapacity = 4096;
+
+}  // namespace
+
 StorageServer::StorageServer(sim::Simulation& sim, net::Fabric& fabric, net::NodeId node,
-                             sim::SimDisk& disk, StorageServerConfig config)
-    : sim_(sim), node_(node), disk_(disk), config_(config) {
+                             sim::SimDisk& disk)
+    : sim_(sim), node_(node), disk_(disk) {
   net::RpcService<DataRequest, DataResponse>::Config rpc_cfg;
-  rpc_cfg.workers = config_.workers;
-  rpc_cfg.queue_capacity = config_.queue_capacity;
+  rpc_cfg.workers = kWorkers;
+  rpc_cfg.queue_capacity = kQueueCapacity;
   // Data messages carry their payload on the wire.
   rpc_cfg.request_bytes = 4096;
   rpc_cfg.response_bytes = 4096;
@@ -18,7 +28,7 @@ StorageServer::StorageServer(sim::Simulation& sim, net::Fabric& fabric, net::Nod
 }
 
 sim::Task<DataResponse> StorageServer::handle(DataRequest req) {
-  co_await sim_.delay(config_.op_cpu_time);
+  co_await sim_.delay(kOpCpuTime);
   DataResponse resp;
   const auto key = std::make_pair(req.ino, req.chunk);
   if (req.op == DataOp::write) {

@@ -3,7 +3,8 @@
 // Holds striped file chunks. Data contents are not materialized (no
 // experiment reads payloads back); what matters for the evaluation is the
 // time: every access pays CPU service plus a disk transfer on the server's
-// own device. Chunk fill levels are tracked so reads past EOF fail.
+// own device. Chunk fill levels are tracked so a read past a chunk's filled
+// bytes is short; the client tells a hole from end of file by the file size.
 #pragma once
 
 #include <cstdint>
@@ -21,16 +22,9 @@ namespace pacon::dfs {
 
 using namespace sim::literals;
 
-struct StorageServerConfig {
-  sim::SimDuration op_cpu_time = 15_us;
-  std::size_t workers = 16;
-  std::size_t queue_capacity = 4096;
-};
-
 class StorageServer {
  public:
-  StorageServer(sim::Simulation& sim, net::Fabric& fabric, net::NodeId node,
-                sim::SimDisk& disk, StorageServerConfig config = {});
+  StorageServer(sim::Simulation& sim, net::Fabric& fabric, net::NodeId node, sim::SimDisk& disk);
   StorageServer(const StorageServer&) = delete;
   StorageServer& operator=(const StorageServer&) = delete;
 
@@ -51,7 +45,6 @@ class StorageServer {
   sim::Simulation& sim_;
   net::NodeId node_;
   sim::SimDisk& disk_;
-  StorageServerConfig config_;
   std::map<std::pair<fs::Ino, std::uint64_t>, std::uint32_t> chunks_;  // -> filled bytes
   std::uint64_t bytes_written_ = 0;
   std::uint64_t bytes_read_ = 0;

@@ -10,12 +10,13 @@
 #include <memory>
 #include <vector>
 
-#include "harness/calibration.h"
 #include "sim/combinators.h"
 #include "sim/simulation.h"
 #include "workload/meta_client.h"
 
 namespace pacon::harness {
+
+using namespace sim::literals;  // _ms window lengths at call sites
 
 struct WindowResult {
   std::uint64_t ops = 0;

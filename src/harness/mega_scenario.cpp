@@ -22,22 +22,19 @@ struct MegaTallies {
 // run_mega's frame, which outlives every wave's step loop.
 // lint-allow: coro-param-ref run_mega owns all referents across the whole run
 sim::Task<> mega_client(wl::MetaClient& mc, wl::HotDirWorkload& load, MegaTallies& t,
-                        sim::Rng rng, std::uint32_t pairs) {
-  for (std::uint32_t i = 0; i < pairs; ++i) {
-    const fs::InternedPath h = load.next_file(rng);
-    const fs::Path& p = load.resolve(h);
-    auto created = co_await mc.create(p, fs::FileMode::file_default());
-    if (created || created.error() == fs::FsError::exists) {
-      ++t.ops_ok;
-    } else {
-      ++t.ops_failed;
-    }
-    auto attr = co_await mc.getattr(p);
-    if (attr) {
-      ++t.ops_ok;
-    } else {
-      ++t.ops_failed;
-    }
+                        sim::Rng rng) {
+  const fs::Path& p = load.resolve(load.next_file(rng));
+  auto created = co_await mc.create(p, fs::FileMode::file_default());
+  if (created || created.error() == fs::FsError::exists) {
+    ++t.ops_ok;
+  } else {
+    ++t.ops_failed;
+  }
+  auto attr = co_await mc.getattr(p);
+  if (attr) {
+    ++t.ops_ok;
+  } else {
+    ++t.ops_failed;
   }
   ++t.clients_done;
 }
@@ -55,7 +52,7 @@ sim::Task<> make_hot_dirs(wl::MetaClient& mc, wl::HotDirWorkload& load, bool& do
 MegaResult run_mega(const MegaConfig& cfg) {
   assert(cfg.clients > 0 && cfg.nodes > 0 && cfg.wave > 0);
   TestBedConfig bed_cfg;
-  bed_cfg.kind = cfg.kind;
+  bed_cfg.kind = SystemKind::pacon;
   bed_cfg.client_nodes = cfg.nodes;
   bed_cfg.seed = cfg.seed;
   TestBed bed(bed_cfg);
@@ -96,8 +93,7 @@ MegaResult run_mega(const MegaConfig& cfg) {
     for (std::uint64_t i = 0; i < n; ++i) {
       const std::uint64_t id = spawned + i;
       const std::size_t node = static_cast<std::size_t>(id % cfg.nodes);
-      sim.spawn(mega_client(*node_clients[node], load, tallies, sim.rng().fork(id),
-                            cfg.ops_per_client));
+      sim.spawn(mega_client(*node_clients[node], load, tallies, sim.rng().fork(id)));
     }
     spawned += n;
     while (tallies.clients_done < wave_target && sim.step()) {

@@ -2,12 +2,12 @@
 // scaled-down `ctest -L mega` smoke tests.
 //
 // The scenario drives `clients` simulated client processes (coroutines)
-// against one metadata deployment. Clients are wave-spawned -- at most
+// against one Pacon deployment. Clients are wave-spawned -- at most
 // `wave` coroutine frames live at once, with completed roots reaped between
 // waves -- so a 10^6-client run holds thousands, not millions, of parked
-// frames. Each client forks its own rng stream and performs
-// `ops_per_client` create+getattr pairs on zipf-hot files (workload/hotdir),
-// all spellings shared through one fs::PathInterner arena.
+// frames. Each client forks its own rng stream and performs one
+// create+getattr pair on a zipf-hot file (workload/hotdir), all spellings
+// shared through one fs::PathInterner arena.
 #pragma once
 
 #include <cstddef>
@@ -25,10 +25,7 @@ struct MegaConfig {
   std::size_t nodes = 64;
   /// Client coroutines in flight at once (wave-spawned, reaped between).
   std::size_t wave = 8192;
-  /// create+getattr pairs each client performs on zipf-drawn hot files.
-  std::uint32_t ops_per_client = 1;
   std::uint64_t seed = 7;
-  SystemKind kind = SystemKind::pacon;
   wl::HotDirConfig hot{};
 };
 
@@ -43,7 +40,7 @@ struct MegaResult {
   std::size_t interned_paths = 0;
   std::size_t interner_bytes = 0;
   /// Region-side pending table size after the final drain (0: every queued
-  /// commit reached the DFS), 0 for non-Pacon.
+  /// commit reached the DFS).
   std::size_t region_pending_paths = 0;
   std::uint64_t reaped_roots = 0;
 };

@@ -160,15 +160,8 @@ class PaconMetaClient final : public wl::MetaClient {
 TestBed::TestBed(TestBedConfig config) : config_(std::move(config)) {
   sim_ = std::make_unique<sim::Simulation>(config_.seed);
 
-  net::FabricConfig fabric_cfg;
-  fabric_cfg.remote_one_way = config_.cal.net_one_way;
-  fabric_cfg.bandwidth_bytes_per_sec = config_.cal.net_bandwidth_bytes_per_sec;
-  fabric_ = std::make_unique<net::Fabric>(*sim_, fabric_cfg);
-
-  dfs::DfsClusterConfig dfs_cfg;
-  dfs_cfg.meta.write_cpu_time = config_.cal.mds_write_cpu;
-  dfs_cfg.meta.read_cpu_time = config_.cal.mds_read_cpu;
-  dfs_ = std::make_unique<dfs::DfsCluster>(*sim_, *fabric_, dfs_cfg);
+  fabric_ = std::make_unique<net::Fabric>(*sim_, net::FabricConfig{});
+  dfs_ = std::make_unique<dfs::DfsCluster>(*sim_, *fabric_);
 
   if (config_.kind == SystemKind::indexfs) {
     indexfs_ = std::make_unique<indexfs::IndexFsCluster>(*sim_, *fabric_, config_.indexfs_cfg);
@@ -181,7 +174,7 @@ TestBed::TestBed(TestBedConfig config) : config_(std::move(config)) {
     registry_ = std::make_unique<core::RegionRegistry>(*sim_, *fabric_, *dfs_);
   }
   if (timeline_enabled()) {
-    recorder_ = std::make_unique<obs::FlightRecorder>(*sim_, config_.recorder);
+    recorder_ = std::make_unique<obs::FlightRecorder>(*sim_);
   }
 }
 

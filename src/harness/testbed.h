@@ -2,6 +2,14 @@
 // cluster, metadata system under test, client processes) behind the
 // MetaClient facade so a workload runs unchanged on BeeGFS, IndexFS or
 // Pacon.
+//
+// The paper's experiments ran on TIANHE-II: a 16-node client cluster
+// (2x Xeon E5, 64 GB each, 20 mdtest clients per node) against BeeGFS with
+// 1 MDS (Intel P3600 NVMe) + 3 storage servers. The simulated testbed's
+// constants are not fitted to the paper's absolute numbers; they are
+// plausible hardware/software figures chosen once, from which the *shapes*
+// of the paper's figures emerge. Each sits beside its reader with its
+// provenance note (net/fabric.h, dfs/meta_server.cpp, kv/memcache.cpp, ...).
 #pragma once
 
 #include <cstdint>
@@ -12,7 +20,6 @@
 #include "core/pacon.h"
 #include "dfs/client.h"
 #include "dfs/cluster.h"
-#include "harness/calibration.h"
 #include "indexfs/client.h"
 #include "indexfs/indexfs.h"
 #include "net/fabric.h"
@@ -37,14 +44,10 @@ struct TestBedConfig {
   SystemKind kind = SystemKind::beegfs;
   std::size_t client_nodes = 16;
   std::uint64_t seed = 1;
-  Calibration cal{};
   /// Pacon region tuning overrides (root/nodes/creds filled per client).
   core::RegionConfig pacon_region{};
   /// IndexFS tuning overrides.
   indexfs::IndexFsConfig indexfs_cfg{};
-  /// Flight-recorder cadence/capacity, used only when a bench turned the
-  /// global timeline on (harness::enable_timeline); ignored otherwise.
-  obs::RecorderConfig recorder{};
 };
 
 /// One assembled deployment. Owns everything; create clients per workspace.
@@ -62,7 +65,6 @@ class TestBed {
   sim::Simulation& sim() { return *sim_; }
   net::Fabric& fabric() { return *fabric_; }
   dfs::DfsCluster& dfs() { return *dfs_; }
-  const TestBedConfig& config() const { return config_; }
   net::NodeId client_node(std::size_t i) const {
     return net::NodeId{static_cast<std::uint32_t>(i)};
   }

@@ -12,6 +12,10 @@ using fs::FsResult;
 
 namespace {
 
+/// Client lookup-cache (lease) duration and capacity.
+constexpr sim::SimDuration kLeaseTtl = 1_s;
+constexpr std::size_t kLeaseCacheCapacity = 1024;
+
 /// A transport failure reads as an io status, like any server-side error.
 IfsResponse or_io(net::RpcResult<IfsResponse> r) {
   return r ? std::move(*r) : IfsResponse{.status = FsError::io};
@@ -25,7 +29,7 @@ IndexFsClient::IndexFsClient(sim::Simulation& sim, IndexFsCluster& cluster, net:
       cluster_(cluster),
       node_(node),
       creds_(creds),
-      cache_(cluster.config().lease_cache_capacity, cluster.config().lease_ttl) {
+      cache_(kLeaseCacheCapacity, kLeaseTtl) {
   // Bulk-minted inode numbers carry the client node in the high bits, offset
   // away from the server ranges.
   next_bulk_ino_ = (static_cast<fs::Ino>(node.value + 1) << 40) + (1ull << 39);

@@ -12,6 +12,32 @@ namespace pacon::indexfs {
 
 using fs::FsError;
 
+namespace {
+
+/// Maximum partition-tree depth (2^depth partitions per directory).
+constexpr std::uint32_t kMaxDepth = 8;
+/// Pause between declaring a split and scanning the source partition, so
+/// requests already admitted (in flight or queued at the server) land
+/// first. Real GIGA+ splits quiesce the partition similarly.
+constexpr sim::SimDuration kSplitGrace = 2_ms;
+/// Server CPU service time of a lookup or scan.
+constexpr sim::SimDuration kReadCpuTime = 12_us;
+/// Mutations serialize through LevelDB's single write path; the effective
+/// per-insert service time covers WAL append, memtable insert and
+/// compaction interference on the BeeGFS-backed tables.
+constexpr sim::SimDuration kWriteCpuTime = 55_us;
+/// RPC worker pool per server (metadata servers are thin).
+constexpr std::size_t kServerWorkers = 2;
+/// The LevelDB tables live on BeeGFS in the paper's deployment: charge
+/// network-attached latencies on the LSM device.
+constexpr sim::DiskConfig kTableDisk{.read_latency = 130_us,
+                                     .write_latency = 75_us,
+                                     .read_bw_bytes_per_sec = 1.0e9,
+                                     .write_bw_bytes_per_sec = 8.0e8,
+                                     .queue_depth = 8};
+
+}  // namespace
+
 PartitionMap::PartitionMap(std::uint32_t max_depth)
     : max_depth_(max_depth),
       exists_(1u << max_depth, false),
@@ -68,13 +94,13 @@ std::uint32_t PartitionMap::apply_split(std::uint32_t source, std::uint64_t move
 }
 
 IndexFsServer::IndexFsServer(sim::Simulation& sim, net::Fabric& fabric, net::NodeId node,
-                             IndexFsCluster& cluster, const IndexFsConfig& config)
-    : sim_(sim), node_(node), cluster_(cluster), config_(config) {
+                             IndexFsCluster& cluster)
+    : sim_(sim), node_(node), cluster_(cluster) {
   next_ino_ = (static_cast<fs::Ino>(node.value + 1) << 40) + 1;
-  disk_ = std::make_unique<sim::SimDisk>(sim, config_.table_disk);
-  store_ = std::make_unique<lsm::LsmStore>(sim, *disk_, config_.lsm);
+  disk_ = std::make_unique<sim::SimDisk>(sim, kTableDisk);
+  store_ = std::make_unique<lsm::LsmStore>(sim, *disk_, lsm::LsmConfig{});
   net::RpcService<IfsRequest, IfsResponse>::Config rpc_cfg;
-  rpc_cfg.workers = config_.workers;
+  rpc_cfg.workers = kServerWorkers;
   rpc_ = std::make_unique<net::RpcService<IfsRequest, IfsResponse>>(
       sim, fabric, node, [this](IfsRequest req) { return handle(std::move(req)); }, rpc_cfg);
 }
@@ -82,7 +108,7 @@ IndexFsServer::IndexFsServer(sim::Simulation& sim, net::Fabric& fabric, net::Nod
 sim::Task<IfsResponse> IndexFsServer::handle(IfsRequest req) {
   const bool mutation = req.op == IfsOp::create || req.op == IfsOp::unlink ||
                         req.op == IfsOp::ingest_rows;
-  co_await sim_.delay(mutation ? config_.write_cpu_time : config_.read_cpu_time);
+  co_await sim_.delay(mutation ? kWriteCpuTime : kReadCpuTime);
   ++ops_served_;
   switch (req.op) {
     case IfsOp::lookup: co_return co_await do_lookup(req);
@@ -177,7 +203,7 @@ IndexFsCluster::IndexFsCluster(sim::Simulation& sim, net::Fabric& fabric, IndexF
     : sim_(sim), fabric_(fabric), config_(std::move(config)) {}
 
 IndexFsServer& IndexFsCluster::add_server(net::NodeId node) {
-  servers_.push_back(std::make_unique<IndexFsServer>(sim_, fabric_, node, *this, config_));
+  servers_.push_back(std::make_unique<IndexFsServer>(sim_, fabric_, node, *this));
   return *servers_.back();
 }
 
@@ -190,7 +216,7 @@ IndexFsServer& IndexFsCluster::server_for(fs::Ino dir, std::uint32_t partition) 
 PartitionMap& IndexFsCluster::map_of(fs::Ino dir) {
   auto it = dirs_.find(dir);
   if (it == dirs_.end()) {
-    it = dirs_.emplace(dir, std::make_unique<DirState>(config_.max_depth)).first;
+    it = dirs_.emplace(dir, std::make_unique<DirState>(kMaxDepth)).first;
   }
   return it->second->map;
 }
@@ -207,7 +233,7 @@ void IndexFsCluster::note_insert(fs::Ino dir, std::uint32_t partition) {
   auto& state = *dirs_.at(dir);
   state.map.note_insert(partition);
   if (!state.splitting &&
-      state.map.should_split(partition, config_.split_threshold, config_.max_depth)) {
+      state.map.should_split(partition, config_.split_threshold, kMaxDepth)) {
     state.splitting = true;
     state.split_source = partition;
     state.split_target = partition + (1u << state.map.depth_of(partition));
@@ -231,7 +257,7 @@ sim::Task<> IndexFsCluster::run_split(fs::Ino dir, std::uint32_t source) {
   // Quiesce: operations that already passed wait_for_split() must land
   // before the move scan, or the split could copy a row an unlink just
   // removed (resurrection) or miss a straggler.
-  co_await sim_.delay(config_.split_grace);
+  co_await sim_.delay(kSplitGrace);
   const std::uint32_t depth = state.map.depth_of(source);
   const std::uint32_t target = source + (1u << depth);
   IndexFsServer& src_server = server_for(dir, source);

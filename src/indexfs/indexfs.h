@@ -44,32 +44,6 @@ using namespace sim::literals;
 struct IndexFsConfig {
   /// Rows in one GIGA+ partition before it splits.
   std::uint64_t split_threshold = 512;
-  /// Maximum partition-tree depth (2^depth partitions per directory).
-  std::uint32_t max_depth = 8;
-  /// Pause between declaring a split and scanning the source partition, so
-  /// requests already admitted (in flight or queued at the server) land
-  /// first. Real GIGA+ splits quiesce the partition similarly.
-  sim::SimDuration split_grace = 2_ms;
-  /// Server CPU service times.
-  sim::SimDuration read_cpu_time = 12_us;
-  /// Mutations serialize through LevelDB's single write path; the effective
-  /// per-insert service time covers WAL append, memtable insert and
-  /// compaction interference on the BeeGFS-backed tables.
-  sim::SimDuration write_cpu_time = 55_us;
-  /// Client lookup-cache (lease) duration and capacity.
-  sim::SimDuration lease_ttl = 1_s;
-  std::size_t lease_cache_capacity = 1024;
-  /// RPC worker pool per server (metadata servers are thin).
-  std::size_t workers = 2;
-  /// LSM tuning.
-  lsm::LsmConfig lsm{};
-  /// The LevelDB tables live on BeeGFS in the paper's deployment: charge
-  /// network-attached latencies on the LSM device.
-  sim::DiskConfig table_disk{.read_latency = 130_us,
-                             .write_latency = 75_us,
-                             .read_bw_bytes_per_sec = 1.0e9,
-                             .write_bw_bytes_per_sec = 8.0e8,
-                             .queue_depth = 8};
   /// Client-side bulk insertion (BatchFS approximation).
   bool bulk_insertion = false;
   std::size_t bulk_batch_size = 512;
@@ -139,7 +113,7 @@ class IndexFsCluster;
 class IndexFsServer {
  public:
   IndexFsServer(sim::Simulation& sim, net::Fabric& fabric, net::NodeId node,
-                IndexFsCluster& cluster, const IndexFsConfig& config);
+                IndexFsCluster& cluster);
   IndexFsServer(const IndexFsServer&) = delete;
   IndexFsServer& operator=(const IndexFsServer&) = delete;
 
@@ -163,7 +137,6 @@ class IndexFsServer {
   sim::Simulation& sim_;
   net::NodeId node_;
   IndexFsCluster& cluster_;
-  const IndexFsConfig& config_;
   std::unique_ptr<sim::SimDisk> disk_;
   std::unique_ptr<lsm::LsmStore> store_;
   fs::Ino next_ino_;

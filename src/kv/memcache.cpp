@@ -4,7 +4,37 @@
 #include <cstring>
 #include <new>
 
+#include "net/retry.h"
+
 namespace pacon::kv {
+
+namespace {
+
+/// Server-side service time per operation (hash lookup + bookkeeping).
+constexpr sim::SimDuration kOpServiceTime = 1'500_ns;
+/// Additional service time per KiB of value moved.
+constexpr sim::SimDuration kPerKibServiceTime = 200_ns;
+/// RPC worker pool of the cache daemon.
+constexpr std::size_t kServerWorkers = 4;
+/// Client-side retry/backoff for cluster requests (net/retry.h); jitter
+/// comes from the cluster's forked sim Rng stream.
+constexpr net::RetryPolicy kClusterRetry{};
+/// Consecutive RPC failures against one server before the ring marks it
+/// suspect and its keyspace fails over to the clockwise successor.
+constexpr std::size_t kSuspectAfterFailures = 2;
+
+constexpr const char* span_name(KvRequest::Op op) {
+  switch (op) {
+    case KvRequest::Op::get: return "kv.get";
+    case KvRequest::Op::set: return "kv.set";
+    case KvRequest::Op::add: return "kv.add";
+    case KvRequest::Op::del: return "kv.del";
+    case KvRequest::Op::cas: return "kv.cas";
+  }
+  return "kv.op";
+}
+
+}  // namespace
 
 MemCacheServer::MemCacheServer(sim::Simulation& sim, net::Fabric& fabric, net::NodeId node,
                                KvConfig config)
@@ -15,12 +45,12 @@ MemCacheServer::MemCacheServer(sim::Simulation& sim, net::Fabric& fabric, net::N
       misses_(sim.metrics().counter("kv.misses")),
       stores_(sim.metrics().counter("kv.stores")) {
   net::RpcService<KvRequest, KvResponse>::Config rpc_cfg;
-  rpc_cfg.workers = config_.workers;
+  rpc_cfg.workers = kServerWorkers;
   rpc_ = std::make_unique<net::RpcService<KvRequest, KvResponse>>(
       sim, fabric, node,
       [this](KvRequest req) -> sim::Task<KvResponse> {
         const std::uint64_t kib = (req.value.size() + 1023) / 1024;
-        co_await sim_.delay(config_.op_service_time + kib * config_.per_kib_service_time);
+        co_await sim_.delay(kOpServiceTime + kib * kPerKibServiceTime);
         co_return apply(req);
       },
       rpc_cfg);
@@ -179,7 +209,7 @@ std::uint32_t& MemCacheCluster::failure_slot(net::NodeId node) {
 
 bool MemCacheCluster::note_failure(net::NodeId node) {
   std::uint32_t& failures = failure_slot(node);
-  if (++failures >= config_.suspect_after_failures && !ring_.is_suspect(node)) {
+  if (++failures >= kSuspectAfterFailures && !ring_.is_suspect(node)) {
     ring_.set_suspect(node, true);
     ++failovers_;
     sim_.trace_note_lazy([&] { return "kv-failover node=" + std::to_string(node.value); });
@@ -189,21 +219,6 @@ bool MemCacheCluster::note_failure(net::NodeId node) {
 }
 
 void MemCacheCluster::note_success(net::NodeId node) { failure_slot(node) = 0; }
-
-namespace {
-
-constexpr const char* span_name(KvRequest::Op op) {
-  switch (op) {
-    case KvRequest::Op::get: return "kv.get";
-    case KvRequest::Op::set: return "kv.set";
-    case KvRequest::Op::add: return "kv.add";
-    case KvRequest::Op::del: return "kv.del";
-    case KvRequest::Op::cas: return "kv.cas";
-  }
-  return "kv.op";
-}
-
-}  // namespace
 
 sim::Task<KvResponse> MemCacheCluster::route(net::NodeId from, KvRequest req,
                                              obs::SpanId parent) {
@@ -232,9 +247,9 @@ sim::Task<KvResponse> MemCacheCluster::route(net::NodeId from, KvRequest req,
     if (note_failure(owner)) {
       span.event("kv.failover", "node=" + std::to_string(owner.value));
     }
-    if (!config_.retry.should_retry(attempt)) break;
+    if (!kClusterRetry.should_retry(attempt)) break;
     span.event("kv.retry", "attempt=" + std::to_string(attempt + 1));
-    co_await sim_.delay(config_.retry.backoff(attempt, rng_));
+    co_await sim_.delay(kClusterRetry.backoff(attempt, rng_));
   }
   ++unreachable_requests_;
   span.finish("unreachable");

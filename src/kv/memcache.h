@@ -22,7 +22,6 @@
 #include "kv/hash_ring.h"
 #include "net/fabric.h"
 #include "obs/span_id.h"
-#include "net/retry.h"
 #include "net/rpc.h"
 #include "sim/random.h"
 #include "sim/simulation.h"
@@ -41,10 +40,6 @@ enum class KvStatus : std::uint8_t {
 };
 
 struct KvConfig {
-  /// Server-side service time per operation (hash lookup + bookkeeping).
-  sim::SimDuration op_service_time = 1'500_ns;
-  /// Additional service time per KiB of value moved.
-  sim::SimDuration per_kib_service_time = 200_ns;
   /// Memory capacity in bytes (key + value + per-item overhead).
   std::uint64_t capacity_bytes = 512ull << 20;
   /// Per-item metadata overhead, mirroring memcached's item header.
@@ -52,14 +47,6 @@ struct KvConfig {
   /// Evict least-recently-used items when full (memcached default). Pacon
   /// turns this off and drives eviction itself (Section III.F).
   bool lru_eviction = true;
-  /// RPC worker pool of the cache daemon.
-  std::size_t workers = 4;
-  /// Client-side retry/backoff for cluster requests (net/retry.h); jitter
-  /// comes from the cluster's forked sim Rng stream.
-  net::RetryPolicy retry{};
-  /// Consecutive RPC failures against one server before the ring marks it
-  /// suspect and its keyspace fails over to the clockwise successor.
-  std::size_t suspect_after_failures = 2;
 };
 
 struct KvRequest {
@@ -109,7 +96,6 @@ class MemCacheServer {
   std::uint64_t bytes_used() const { return bytes_used_; }
   std::uint64_t item_count() const { return items_.size(); }
   std::uint64_t evictions() const { return evictions_; }
-  const KvConfig& config() const { return config_; }
 
   /// Enumerates keys with a given prefix. The real daemon lacks this; the
   /// region calls it to clean a removed directory's cached subtree (rmdir),

@@ -9,6 +9,15 @@ namespace pacon::lsm {
 namespace {
 
 constexpr std::uint64_t kEntryOverheadBytes = 16;
+/// Target size ratio between adjacent levels below L1.
+constexpr std::uint64_t kLevelSizeMultiplier = 10;
+constexpr std::size_t kMaxLevels = 6;
+/// Buffered WAL group commit flushes every this many bytes.
+constexpr std::uint64_t kWalBufferBytes = 64ull << 10;
+/// Bloom filter bits per key (10 ~ 1% false-positive rate).
+constexpr std::size_t kBloomBitsPerKey = 10;
+/// CPU cost of one put/get on the in-memory structures.
+constexpr sim::SimDuration kOpCpuTime = 1'000_ns;
 
 std::uint64_t entry_bytes(std::string_view key, const std::optional<std::string>& value) {
   return key.size() + (value ? value->size() : 0) + kEntryOverheadBytes;
@@ -91,7 +100,7 @@ LsmStore::LsmStore(sim::Simulation& sim, sim::SimDisk& disk, LsmConfig config)
       config_(config),
       block_cache_(config.block_cache_bytes / std::max<std::uint64_t>(1, config.block_bytes)),
       idle_(sim) {
-  levels_.resize(config_.max_levels);
+  levels_.resize(kMaxLevels);
 }
 
 sim::Task<> LsmStore::append_wal(std::uint64_t bytes) {
@@ -100,7 +109,7 @@ sim::Task<> LsmStore::append_wal(std::uint64_t bytes) {
     co_return;
   }
   wal_buffered_ += bytes;
-  if (wal_buffered_ >= config_.wal_buffer_bytes) {
+  if (wal_buffered_ >= kWalBufferBytes) {
     const std::uint64_t to_flush = wal_buffered_;
     wal_buffered_ = 0;
     co_await disk_.write(to_flush);
@@ -108,7 +117,7 @@ sim::Task<> LsmStore::append_wal(std::uint64_t bytes) {
 }
 
 sim::Task<> LsmStore::write_entry(std::string key, std::optional<std::string> value) {
-  co_await sim_.delay(config_.op_cpu_time);
+  co_await sim_.delay(kOpCpuTime);
   const std::uint64_t bytes = entry_bytes(key, value);
   co_await append_wal(bytes);
   auto [it, inserted] = memtable_.insert_or_assign(std::move(key), std::move(value));
@@ -158,8 +167,7 @@ sim::Task<> LsmStore::flush_oldest_immutable() {
   std::vector<std::pair<std::string, std::optional<std::string>>> rows(
       std::make_move_iterator(imm->begin()), std::make_move_iterator(imm->end()));
   if (rows.empty()) co_return;
-  auto table = std::make_shared<SsTable>(next_table_id_++, std::move(rows),
-                                         config_.bloom_bits_per_key);
+  auto table = std::make_shared<SsTable>(next_table_id_++, std::move(rows), kBloomBitsPerKey);
   co_await disk_.write(table->data_bytes());
   levels_[0].push_back(std::move(table));  // newest at the back
 }
@@ -181,7 +189,7 @@ sim::Task<> LsmStore::maybe_compact() {
       co_await compact_level(level);
       co_return;
     }
-    target *= config_.level_size_multiplier;
+    target *= kLevelSizeMultiplier;
   }
 }
 
@@ -216,8 +224,7 @@ sim::Task<> LsmStore::compact_level(std::size_t level) {
   std::uint64_t written = 0;
   constexpr std::uint64_t kOutputTableBytes = 8ull << 20;
   auto emit_table = [&]() -> std::shared_ptr<SsTable> {
-    auto t = std::make_shared<SsTable>(next_table_id_++, std::move(out_rows),
-                                       config_.bloom_bits_per_key);
+    auto t = std::make_shared<SsTable>(next_table_id_++, std::move(out_rows), kBloomBitsPerKey);
     out_rows.clear();
     out_bytes = 0;
     return t;
@@ -256,7 +263,7 @@ sim::Task<std::optional<std::optional<std::string>>> LsmStore::probe_table(
 }
 
 sim::Task<std::optional<std::string>> LsmStore::get(std::string key) {
-  co_await sim_.delay(config_.op_cpu_time);
+  co_await sim_.delay(kOpCpuTime);
   if (auto it = memtable_.find(key); it != memtable_.end()) co_return it->second;
   for (auto imm = immutables_.rbegin(); imm != immutables_.rend(); ++imm) {
     if (auto it = imm->first->find(key); it != imm->first->end()) co_return it->second;
@@ -287,7 +294,7 @@ sim::Task<std::optional<std::string>> LsmStore::get(std::string key) {
 
 sim::Task<std::vector<std::pair<std::string, std::string>>> LsmStore::scan_prefix(
     std::string prefix) {
-  co_await sim_.delay(config_.op_cpu_time);
+  co_await sim_.delay(kOpCpuTime);
   // Newest-first accumulation: emplace keeps the first (newest) version.
   std::map<std::string, std::optional<std::string>> acc;
   auto take_range = [&](auto begin, auto end) {
@@ -338,7 +345,7 @@ sim::Task<> LsmStore::ingest(std::vector<std::pair<std::string, std::string>> ro
     table_rows.emplace_back(std::move(key), std::move(value));
   }
   auto table = std::make_shared<SsTable>(next_table_id_++, std::move(table_rows),
-                                         config_.bloom_bits_per_key);
+                                         kBloomBitsPerKey);
   co_await disk_.write(table->data_bytes());
   levels_[0].push_back(std::move(table));
   if (!maintenance_busy_ && levels_[0].size() >= config_.level0_compaction_trigger) {

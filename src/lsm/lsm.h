@@ -38,22 +38,15 @@ struct LsmConfig {
   std::uint64_t memtable_bytes = 4ull << 20;
   /// L0 run count that triggers compaction into L1.
   std::size_t level0_compaction_trigger = 4;
-  /// Target size ratio between adjacent levels.
+  /// L1 target size; each deeper level holds 10x its parent.
   std::uint64_t level1_target_bytes = 32ull << 20;
-  std::uint64_t level_size_multiplier = 10;
-  std::size_t max_levels = 6;
   /// WAL policy: synchronous fsync per write (durable, slow) or buffered
-  /// group commit flushed every `wal_buffer_bytes` (LevelDB/IndexFS default).
+  /// group commit (LevelDB/IndexFS default).
   bool sync_wal = false;
-  std::uint64_t wal_buffer_bytes = 64ull << 10;
-  /// Bloom filter bits per key (10 ~ 1% false-positive rate).
-  std::size_t bloom_bits_per_key = 10;
   /// Data block granularity for read charging and the block cache.
   std::uint64_t block_bytes = 4096;
   /// Block cache capacity (bytes of cached blocks).
   std::uint64_t block_cache_bytes = 8ull << 20;
-  /// CPU cost of one put/get on the in-memory structures.
-  sim::SimDuration op_cpu_time = 1'000_ns;
 };
 
 /// Double-hashed bloom filter over string keys.

@@ -33,14 +33,11 @@ struct NodeId {
 };
 
 struct FabricConfig {
-  /// Same-node (loopback / shared-memory) one-way latency.
-  sim::SimDuration loopback_one_way = 500_ns;
   /// Cross-node one-way latency: kernel+NIC+switch for a small message.
   /// ~25us one way gives a ~50us small-message RTT, typical of an HPC
-  /// interconnect driven through a sockets-style software stack.
+  /// interconnect (TH-Express style) driven through a sockets-style
+  /// software stack. harness::Calibration::net_one_way reads this default.
   sim::SimDuration remote_one_way = 25'000_ns;
-  /// Serialization bandwidth for the size-proportional term.
-  double bandwidth_bytes_per_sec = 5.0e9;
   /// Multiplicative jitter: actual = nominal * (1 + U(0, jitter_frac)).
   double jitter_frac = 0.15;
 };
@@ -52,14 +49,11 @@ class Fabric {
   Fabric(const Fabric&) = delete;
   Fabric& operator=(const Fabric&) = delete;
 
-  const FabricConfig& config() const { return config_; }
-
   /// One-way wire time for a `bytes`-sized message from `from` to `to`.
   sim::SimDuration one_way(NodeId from, NodeId to, std::size_t bytes) {
-    const sim::SimDuration base =
-        from == to ? config_.loopback_one_way : config_.remote_one_way;
+    const sim::SimDuration base = from == to ? kLoopbackOneWay : config_.remote_one_way;
     const auto transfer = static_cast<sim::SimDuration>(
-        static_cast<double>(bytes) / config_.bandwidth_bytes_per_sec * 1e9);
+        static_cast<double>(bytes) / kBandwidthBytesPerSec * 1e9);
     const double jitter = 1.0 + rng_.uniform01() * config_.jitter_frac;
     return static_cast<sim::SimDuration>(static_cast<double>(base + transfer) * jitter);
   }
@@ -93,6 +87,11 @@ class Fabric {
   }
 
  private:
+  /// Same-node (loopback / shared-memory) one-way latency.
+  static constexpr sim::SimDuration kLoopbackOneWay = 500_ns;
+  /// Serialization bandwidth for the size-proportional term.
+  static constexpr double kBandwidthBytesPerSec = 5.0e9;
+
   sim::Simulation& sim_;
   FabricConfig config_;
   sim::Rng rng_;

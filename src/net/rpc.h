@@ -11,13 +11,11 @@
 // response or the RpcFailure that lost it. A call to/from a down node fails
 // `unreachable`, a call into a shut-down service fails `shutdown`. When a
 // fault matrix is installed on the fabric, a request or response may be lost
-// on the wire: the caller then waits out `call_timeout` and fails `timeout`.
+// on the wire: the caller then waits out `kCallTimeout` and fails `timeout`.
 // Each client maps the failure into its response's own status at its single
 // call helper. Handlers never throw -- they report failures in the response
 // status -- so a throwing handler fails its worker, a root process nobody
-// awaits, which ends the program (sim/task.h). Duplicate verdicts are
-// ignored: a request/response stream behaves like TCP, which dedups
-// retransmissions.
+// awaits, which ends the program (sim/task.h).
 #pragma once
 
 #include <coroutine>
@@ -53,10 +51,6 @@ class RpcService {
     /// Nominal request/response wire sizes used for the bandwidth term.
     std::size_t request_bytes = 256;
     std::size_t response_bytes = 256;
-    /// How long a caller waits on a lost request/response before failing
-    /// with RpcFailure::timeout (only reachable under an installed fault
-    /// model; a healthy fabric never loses messages).
-    sim::SimDuration call_timeout = 5'000_us;
   };
 
   RpcService(sim::Simulation& sim, Fabric& fabric, NodeId self, Handler handler,
@@ -98,7 +92,7 @@ class RpcService {
     if (req_fate.drop) {
       // The request never arrives; the caller's timer expires.
       span.event("request_lost");
-      co_await sim_.delay(config_.call_timeout);
+      co_await sim_.delay(kCallTimeout);
       span.finish("timeout");
       co_return fs::Unexpected(RpcFailure::timeout);
     }
@@ -122,7 +116,7 @@ class RpcService {
       // times out not knowing -- the case that makes retried mutations
       // at-least-once and forces idempotent handling upstream.
       span.event("response_lost");
-      co_await sim_.delay(config_.call_timeout);
+      co_await sim_.delay(kCallTimeout);
       span.finish("timeout");
       co_return fs::Unexpected(RpcFailure::timeout);
     }
@@ -138,6 +132,11 @@ class RpcService {
   std::uint64_t requests_served() const { return served_; }
 
  private:
+  /// How long a caller waits on a lost request/response before failing
+  /// with RpcFailure::timeout (only reachable under an installed fault
+  /// model; a healthy fabric never loses messages).
+  static constexpr sim::SimDuration kCallTimeout = 5'000_us;
+
   /// One in-flight call, living in its caller's frame. The frame outlives
   /// the reply: nothing cancels a suspended caller, so the worker may write
   /// the reply and wake `caller` once the handler returns. At teardown the

@@ -62,8 +62,6 @@ class FlightRecorder {
   /// Uninstalls itself if still the installed recorder.
   ~FlightRecorder();
 
-  const RecorderConfig& config() const { return config_; }
-
   /// Takes one snapshot at the current virtual time. Called by the cadence
   /// tick; callers may also invoke it directly for a final frame at
   /// teardown. Frames at a time not after the previous frame are skipped

@@ -27,15 +27,6 @@ struct DiskConfig {
   /// Defaults modelled on a datacenter NVMe SSD (the paper's MDS used an
   /// Intel P3600 PCIe NVMe drive).
   static DiskConfig nvme() { return DiskConfig{}; }
-
-  /// A slower SATA-SSD profile for sensitivity studies.
-  static DiskConfig sata_ssd() {
-    return DiskConfig{.read_latency = 120_us,
-                      .write_latency = 60_us,
-                      .read_bw_bytes_per_sec = 5.0e8,
-                      .write_bw_bytes_per_sec = 4.0e8,
-                      .queue_depth = 4};
-  }
 };
 
 class SimDisk {
@@ -51,8 +42,6 @@ class SimDisk {
   Task<> write(std::size_t bytes) {
     return access(config_.write_latency, config_.write_bw_bytes_per_sec, bytes, writes_);
   }
-
-  const DiskConfig& config() const { return config_; }
 
   std::uint64_t reads() const { return reads_; }
   std::uint64_t writes() const { return writes_; }

@@ -2,11 +2,11 @@
 //
 // Three orthogonal pieces:
 //
-//   * MessageFaultModel -- a per-message verdict source (drop / duplicate /
-//     extra delay) drawn from its own forked Rng stream, so a fixed seed
-//     yields a byte-identical fault schedule run after run. Each verdict
-//     consumes exactly four Rng draws regardless of configuration, so
-//     toggling one fault class never reshuffles another class's schedule.
+//   * MessageFaultModel -- a per-message verdict source (drop / extra
+//     delay) drawn from its own forked Rng stream, so a fixed seed yields a
+//     byte-identical fault schedule run after run. Each verdict consumes
+//     exactly four Rng draws regardless of configuration, so toggling one
+//     fault class never reshuffles another class's schedule.
 //
 //   * LinkFaultMatrix -- a fault *topology* over the (src, dst) link space:
 //     per-link overrides, per-node egress/ingress rules and a global default
@@ -15,10 +15,10 @@
 //     the link's endpoints alone. Adding or changing a rule for one link
 //     therefore leaves every other link's verdict schedule byte-identical.
 //     The matrix also tracks hard link state (a down link or partition eats
-//     every message) and can surface per-link drop/dup/delay counters
-//     through a MetricScope. The network layers (Fabric/RPC/pub-sub)
-//     consult it per cross-node message; loopback traffic is exempt
-//     (same-host queues do not lose messages).
+//     every message) and can surface per-link drop/delay counters through a
+//     MetricScope. RPC consults it (through the Fabric) per cross-node
+//     message; loopback traffic is exempt (same-host queues do not lose
+//     messages).
 //
 //   * FaultPlan -- a declarative schedule of node down/up transitions, link
 //     down/up flips, group partitions and arbitrary callbacks (commit-process
@@ -51,9 +51,6 @@ namespace pacon::sim {
 struct MessageFaultConfig {
   /// Probability a message vanishes on the wire.
   double drop_prob = 0.0;
-  /// Probability a delivered message is delivered twice (the extra copy
-  /// arrives after the original; per-pair FIFO still holds).
-  double duplicate_prob = 0.0;
   /// Probability a delivered message is delayed by U(delay_min, delay_max)
   /// on top of its nominal wire time.
   double delay_prob = 0.0;
@@ -64,7 +61,6 @@ struct MessageFaultConfig {
 /// One message's fate. Default-constructed = deliver normally.
 struct FaultDecision {
   bool drop = false;
-  bool duplicate = false;
   SimDuration extra_delay = 0;
 };
 
@@ -72,38 +68,33 @@ class MessageFaultModel {
  public:
   MessageFaultModel(Rng rng, MessageFaultConfig config) : rng_(rng), config_(config) {}
 
-  const MessageFaultConfig& config() const { return config_; }
-
   /// Swaps the fault profile in place, preserving the Rng stream position
   /// and the counters -- how the matrix retargets a lane when a rule changes
   /// mid-run without restarting or reshuffling the lane's schedule.
   void set_config(const MessageFaultConfig& config) { config_ = config; }
 
   /// Verdict for the next message. Consumes exactly four Rng draws per call
-  /// -- the drop, duplicate and delay chances plus the delay magnitude --
-  /// whether or not each fault class is enabled and whichever verdicts hit,
-  /// so the schedule of one class depends only on seed + that class's
-  /// config + how many messages came before: toggling drop_prob cannot
-  /// reshuffle the duplicate/delay verdicts of later messages (pinned by
-  /// sim_fault_test).
+  /// -- the drop chance, one draw nothing reads, the delay chance and the
+  /// delay magnitude -- whether or not each fault class is enabled and
+  /// whichever verdicts hit, so the schedule of one class depends only on
+  /// seed + that class's config + how many messages came before: toggling
+  /// drop_prob cannot reshuffle the delay verdicts of later messages (pinned
+  /// by sim_fault_test). The unread draw keeps every seed's drop and delay
+  /// schedule where the recorded fault experiments measured it.
   FaultDecision next() {
     // uniform01() rather than chance(): chance() short-circuits at p<=0 and
     // p>=1 without consuming a draw, which is exactly the instability this
     // fixed-burn contract rules out. uniform01() is in [0, 1), so p = 1
     // always hits and p = 0 never does.
     const bool drop = rng_.uniform01() < config_.drop_prob;
-    const bool duplicate = rng_.uniform01() < config_.duplicate_prob;
+    (void)rng_.uniform01();
     const bool delay = rng_.uniform01() < config_.delay_prob;
     const double magnitude = rng_.uniform01();
     FaultDecision d;
     if (drop) {
       ++drops_;
-      d.drop = true;  // a dropped message cannot also be duplicated or delayed
+      d.drop = true;  // a dropped message cannot also be delayed
       return d;
-    }
-    if (duplicate) {
-      ++duplicates_;
-      d.duplicate = true;
     }
     if (delay) {
       ++delays_;
@@ -115,14 +106,12 @@ class MessageFaultModel {
   }
 
   std::uint64_t drops() const { return drops_; }
-  std::uint64_t duplicates() const { return duplicates_; }
   std::uint64_t delays() const { return delays_; }
 
  private:
   Rng rng_;
   MessageFaultConfig config_;
   std::uint64_t drops_ = 0;
-  std::uint64_t duplicates_ = 0;
   std::uint64_t delays_ = 0;
 };
 
@@ -133,7 +122,7 @@ class MessageFaultModel {
 ///   1. per-link override          set_link(src, dst, cfg)
 ///   2. per-node egress rule       set_node_egress(src, cfg)
 ///   3. per-node ingress rule      set_node_ingress(dst, cfg)
-///   4. the global default         constructor / set_global(cfg)
+///   4. the global default         constructor
 ///
 /// Every directed link draws from its own lane: an Rng stream forked from
 /// the matrix seed by (src, dst) alone -- never by rule set, lane creation
@@ -148,10 +137,6 @@ class LinkFaultMatrix {
 
   // ---- Rules ----------------------------------------------------------------
 
-  void set_global(const MessageFaultConfig& cfg) {
-    global_ = cfg;
-    re_resolve_lanes();
-  }
   void set_link(std::uint32_t src, std::uint32_t dst, const MessageFaultConfig& cfg) {
     link_rules_[key(src, dst)] = cfg;
     re_resolve_lanes();
@@ -219,11 +204,9 @@ class LinkFaultMatrix {
     Lane& lane = lane_for(src, dst);
     if (lane.drops == nullptr) return lane.model.next();
     const std::uint64_t d0 = lane.model.drops();
-    const std::uint64_t u0 = lane.model.duplicates();
     const std::uint64_t l0 = lane.model.delays();
     const FaultDecision d = lane.model.next();
     lane.drops->add(lane.model.drops() - d0);
-    lane.duplicates->add(lane.model.duplicates() - u0);
     lane.delays->add(lane.model.delays() - l0);
     return d;
   }
@@ -236,14 +219,12 @@ class LinkFaultMatrix {
     return it == lanes_.end() ? nullptr : &it->second.model;
   }
 
-  std::size_t lane_count() const { return lanes_.size(); }
-
   /// Messages eaten by down links/partitions (not wire-fault drops; those
   /// are counted per lane).
   std::uint64_t partition_drops() const { return partition_drops_; }
 
   /// Installs live per-link counters under `scope`: each lane increments
-  /// `<scope>.link.<src>-<dst>.{drops,duplicates,delays}` as verdicts land,
+  /// `<scope>.link.<src>-<dst>.{drops,delays}` as verdicts land,
   /// and partition-eaten messages count in `<scope>.partition.drops`.
   /// Existing lanes are back-filled with their totals so far.
   void bind_metrics(MetricScope scope) {
@@ -254,7 +235,6 @@ class LinkFaultMatrix {
       attach_counters(lane, static_cast<std::uint32_t>(k >> 32),
                       static_cast<std::uint32_t>(k & 0xFFFFFFFFu));
       lane.drops->add(lane.model.drops());
-      lane.duplicates->add(lane.model.duplicates());
       lane.delays->add(lane.model.delays());
     }
   }
@@ -263,7 +243,6 @@ class LinkFaultMatrix {
   struct Lane {
     MessageFaultModel model;
     Counter* drops = nullptr;
-    Counter* duplicates = nullptr;
     Counter* delays = nullptr;
   };
 
@@ -287,7 +266,6 @@ class LinkFaultMatrix {
     MetricScope s =
         metrics_->scoped("link").scoped(std::to_string(src) + "-" + std::to_string(dst));
     lane.drops = &s.counter("drops");
-    lane.duplicates = &s.counter("duplicates");
     lane.delays = &s.counter("delays");
   }
 

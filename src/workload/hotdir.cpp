@@ -5,13 +5,21 @@
 
 namespace pacon::wl {
 
+namespace {
+
+/// Zipf skew of the file draw inside the chosen directory, milder than the
+/// directory draw's.
+constexpr double kFileTheta = 0.4;
+
+}  // namespace
+
 HotDirWorkload::HotDirWorkload(fs::PathInterner& interner, const fs::Path& root,
                                HotDirConfig cfg)
     : interner_(interner),
       root_(root),
       cfg_(cfg),
       dir_zipf_(cfg.directories, cfg.dir_theta),
-      file_zipf_(cfg.files_per_dir, cfg.file_theta) {
+      file_zipf_(cfg.files_per_dir, kFileTheta) {
   assert(root_.valid());
   assert(cfg_.directories > 0 && cfg_.files_per_dir > 0);
   dirs_.reserve(cfg_.directories);

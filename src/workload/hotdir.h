@@ -32,8 +32,6 @@ struct HotDirConfig {
   std::size_t files_per_dir = 1024;
   /// Zipf skew of the directory draw; 0.99 concentrates hard on rank 0.
   double dir_theta = 0.99;
-  /// Milder skew of the file draw inside the chosen directory.
-  double file_theta = 0.4;
 };
 
 class HotDirWorkload {
@@ -42,7 +40,6 @@ class HotDirWorkload {
   /// paths are interned lazily on first draw.
   HotDirWorkload(fs::PathInterner& interner, const fs::Path& root, HotDirConfig cfg);
 
-  const HotDirConfig& config() const { return cfg_; }
   const fs::Path& root() const { return root_; }
   std::size_t directory_count() const { return dirs_.size(); }
 

@@ -2,7 +2,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 #include "kv/memcache.h"
 #include "sim/simulation.h"
@@ -10,8 +9,6 @@
 namespace pacon::wl {
 
 struct KvLoadConfig {
-  std::string key_prefix = "/kv/item";
-  std::uint64_t value_bytes = 128;
   /// Single outstanding request per client, as in the paper's
   /// no-concurrency overhead experiment.
   int ops = 10'000;

@@ -2,6 +2,15 @@
 
 namespace pacon::wl {
 
+namespace {
+
+/// Virtual CPU time of one compute phase.
+constexpr sim::SimDuration kComputePerRound = 20_ms;
+/// Transfer granularity of the data phases.
+constexpr std::uint64_t kIoChunkBytes = 1 << 20;
+
+}  // namespace
+
 sim::Task<MadbenchBreakdown> madbench_process(sim::Simulation& sim, MetaClient& client,
                                               const MadbenchConfig& config, int rank) {
   MadbenchBreakdown out;
@@ -14,8 +23,8 @@ sim::Task<MadbenchBreakdown> madbench_process(sim::Simulation& sim, MetaClient& 
 
   // S phase: generate and write the evaluation data.
   t0 = sim.now();
-  for (std::uint64_t off = 0; off < config.file_bytes; off += config.io_chunk_bytes) {
-    const std::uint64_t len = std::min(config.io_chunk_bytes, config.file_bytes - off);
+  for (std::uint64_t off = 0; off < config.file_bytes; off += kIoChunkBytes) {
+    const std::uint64_t len = std::min(kIoChunkBytes, config.file_bytes - off);
     (void)co_await client.write(file, off, len);
   }
   out.write += sim.now() - t0;
@@ -23,19 +32,19 @@ sim::Task<MadbenchBreakdown> madbench_process(sim::Simulation& sim, MetaClient& 
   // W/C phases: repeated read, compute, write over the file.
   for (int round = 0; round < config.io_rounds; ++round) {
     t0 = sim.now();
-    for (std::uint64_t off = 0; off < config.file_bytes; off += config.io_chunk_bytes) {
-      const std::uint64_t len = std::min(config.io_chunk_bytes, config.file_bytes - off);
+    for (std::uint64_t off = 0; off < config.file_bytes; off += kIoChunkBytes) {
+      const std::uint64_t len = std::min(kIoChunkBytes, config.file_bytes - off);
       (void)co_await client.read(file, off, len);
     }
     out.read += sim.now() - t0;
 
     t0 = sim.now();
-    co_await sim.delay(config.compute_per_round);
+    co_await sim.delay(kComputePerRound);
     out.other += sim.now() - t0;
 
     t0 = sim.now();
-    for (std::uint64_t off = 0; off < config.file_bytes; off += config.io_chunk_bytes) {
-      const std::uint64_t len = std::min(config.io_chunk_bytes, config.file_bytes - off);
+    for (std::uint64_t off = 0; off < config.file_bytes; off += kIoChunkBytes) {
+      const std::uint64_t len = std::min(kIoChunkBytes, config.file_bytes - off);
       (void)co_await client.write(file, off, len);
     }
     out.write += sim.now() - t0;

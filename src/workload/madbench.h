@@ -20,8 +20,6 @@ struct MadbenchConfig {
   fs::Path base;                       // working directory
   std::uint64_t file_bytes = 4 << 20;  // 4 MiB per process, as in the paper
   int io_rounds = 8;                   // read/compute/write iterations
-  sim::SimDuration compute_per_round = 20_ms;
-  std::uint64_t io_chunk_bytes = 1 << 20;  // per-round transfer granularity
 };
 
 /// Per-phase virtual time accumulated by one MADbench2 process.

@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <string>
 #include <variant>
 
@@ -134,6 +135,52 @@ TEST(EpochCoordinator, PastEpochsPassImmediately) {
   }(epochs, passed));
   sim.run();
   EXPECT_TRUE(passed);
+}
+
+TEST(EpochCoordinator, AbortFailsTheBarrierAndCompletionReleasesTheNextEpoch) {
+  Simulation sim;
+  core::EpochCoordinator epochs(sim, 2);
+  auto drained_into = [](core::EpochCoordinator& e, std::uint64_t epoch,
+                         std::optional<bool>& out) -> Task<> {
+    out = co_await e.wait_all_drained(epoch);
+  };
+  std::optional<bool> drained;
+  bool next_open = false;
+  sim.spawn(drained_into(epochs, 0, drained));
+  sim.spawn([](core::EpochCoordinator& e, bool& out) -> Task<> {
+    co_await e.wait_epoch_open(1);
+    out = true;
+  }(epochs, next_open));
+  // One of the two nodes reports; the other's commit process crashed.
+  epochs.node_reached_barrier(0);
+  sim.run();
+  EXPECT_FALSE(drained.has_value());
+
+  // The abort wakes the waiter with false, and a later waiter sees it too.
+  epochs.abort_epoch(0);
+  sim.run();
+  EXPECT_EQ(drained, std::optional<bool>(false));
+  std::optional<bool> late;
+  sim.spawn(drained_into(epochs, 0, late));
+  sim.run();
+  EXPECT_EQ(late, std::optional<bool>(false));
+  EXPECT_FALSE(next_open) << "an abort alone must not open the next epoch";
+
+  // Completing the aborted epoch releases the commit processes of e+1.
+  epochs.complete_epoch(0);
+  sim.run();
+  EXPECT_TRUE(next_open);
+  EXPECT_EQ(epochs.current_epoch(), 1u);
+
+  // Aborting a past epoch is a no-op: epoch 1's barrier drains normally.
+  epochs.abort_epoch(0);
+  EXPECT_EQ(epochs.current_epoch(), 1u);
+  std::optional<bool> drained1;
+  sim.spawn(drained_into(epochs, 1, drained1));
+  epochs.node_reached_barrier(1);
+  epochs.node_reached_barrier(1);
+  sim.run();
+  EXPECT_EQ(drained1, std::optional<bool>(true));
 }
 
 TEST(LruTtlCache, InsertFindErase) {

@@ -312,7 +312,7 @@ TEST(DfsClient, EachTracedOpOpensOneOkSpanNamedAfterIt) {
   f.sim.set_tracer(&tracer);
   const obs::SpanId root = tracer.begin_span("test");
   // Three chunks' worth, so the data ops fan out to several storage calls.
-  const std::uint64_t bytes = 2 * f.cluster.config().chunk_bytes + 100;
+  const std::uint64_t bytes = 2 * kChunkBytes + 100;
   sim::run_task(f.sim, [](DfsClient& c, obs::SpanId parent, std::uint64_t n) -> Task<> {
     const Path dir = Path::parse("/d");
     const Path file = Path::parse("/d/f");

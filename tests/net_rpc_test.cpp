@@ -310,13 +310,13 @@ TEST(Retry, BackoffIsDeterministicPerSeed) {
   EXPECT_NE(seq_a, seq_c);
   // Exponential growth within jitter bounds, capped at max_delay * (1 + j).
   for (std::size_t i = 0; i < seq_a.size(); ++i) {
-    double nominal = static_cast<double>(policy.base_delay);
+    double nominal = static_cast<double>(RetryPolicy::kBaseDelay);
     for (std::size_t k = 0; k < i && nominal < static_cast<double>(policy.max_delay); ++k) {
-      nominal *= policy.multiplier;
+      nominal *= RetryPolicy::kMultiplier;
     }
     nominal = std::min(nominal, static_cast<double>(policy.max_delay));
-    EXPECT_GE(static_cast<double>(seq_a[i]), nominal * (1.0 - policy.jitter_frac) - 1.0);
-    EXPECT_LE(static_cast<double>(seq_a[i]), nominal * (1.0 + policy.jitter_frac) + 1.0);
+    EXPECT_GE(static_cast<double>(seq_a[i]), nominal * (1.0 - RetryPolicy::kJitterFrac) - 1.0);
+    EXPECT_LE(static_cast<double>(seq_a[i]), nominal * (1.0 + RetryPolicy::kJitterFrac) + 1.0);
   }
 }
 

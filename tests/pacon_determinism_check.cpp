@@ -241,7 +241,6 @@ std::vector<std::string> run_traced_with_link_faults(std::uint64_t seed,
   if (add_unused_link_rule) {
     sim::MessageFaultConfig heavy;
     heavy.drop_prob = 0.9;
-    heavy.duplicate_prob = 0.5;
     matrix.set_link(97, 98, heavy);
   }
 

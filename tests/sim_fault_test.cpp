@@ -27,7 +27,6 @@ using namespace literals;
 MessageFaultConfig lossier() {
   MessageFaultConfig cfg;
   cfg.drop_prob = 0.6;
-  cfg.duplicate_prob = 0.2;
   cfg.delay_prob = 0.5;
   cfg.delay_min = 1_us;
   cfg.delay_max = 20_us;
@@ -37,7 +36,7 @@ MessageFaultConfig lossier() {
 /// Flattens a verdict into a comparable token.
 std::string fmt(const FaultDecision& d) {
   std::ostringstream os;
-  os << (d.drop ? 'D' : '.') << (d.duplicate ? '2' : '.') << ':' << d.extra_delay;
+  os << (d.drop ? 'D' : '.') << ':' << d.extra_delay;
   return os.str();
 }
 
@@ -50,13 +49,12 @@ std::vector<std::string> stream_of(MessageFaultModel& m, int n) {
 
 // ---- MessageFaultModel: fixed draws per verdict ------------------------------
 
-// Satellite regression: toggling drop_prob must not reshuffle the duplicate
-// or delay schedule of later messages. The old next() returned early on a
-// drop verdict (and skipped disabled classes entirely), so enabling drops
-// re-aligned every downstream draw.
-TEST(MessageFaultModel, TogglingDropDoesNotReshuffleDuplicateOrDelay) {
+// Regression: toggling drop_prob must not reshuffle the delay schedule of
+// later messages. The old next() returned early on a drop verdict (and
+// skipped disabled classes entirely), so enabling drops re-aligned every
+// downstream draw.
+TEST(MessageFaultModel, TogglingDropDoesNotReshuffleDelay) {
   MessageFaultConfig base;
-  base.duplicate_prob = 0.3;
   base.delay_prob = 0.4;
   base.delay_min = 10_us;
   base.delay_max = 90_us;
@@ -71,19 +69,20 @@ TEST(MessageFaultModel, TogglingDropDoesNotReshuffleDuplicateOrDelay) {
     const FaultDecision b = lossy.next();
     if (b.drop) {
       ++dropped;
-      continue;  // a dropped message reports no dup/delay; the draws still burned
+      continue;  // a dropped message reports no delay; the draws still burned
     }
-    EXPECT_EQ(a.duplicate, b.duplicate) << "message " << i;
     EXPECT_EQ(a.extra_delay, b.extra_delay) << "message " << i;
   }
   EXPECT_GT(dropped, 0);
 }
 
-TEST(MessageFaultModel, TogglingDuplicateDoesNotReshuffleDrops) {
+TEST(MessageFaultModel, TogglingDelayDoesNotReshuffleDrops) {
   MessageFaultConfig drops_only;
   drops_only.drop_prob = 0.5;
   MessageFaultConfig both = drops_only;
-  both.duplicate_prob = 0.9;
+  both.delay_prob = 0.9;
+  both.delay_min = 1_us;
+  both.delay_max = 40_us;
 
   MessageFaultModel a(Rng(5), drops_only);
   MessageFaultModel b(Rng(5), both);
@@ -100,7 +99,8 @@ TEST(MessageFaultModel, DegenerateProbabilitiesStillBurnDraws) {
   certain.drop_prob = 1.0;
   MessageFaultConfig likely;
   likely.drop_prob = 0.6;
-  likely.duplicate_prob = 0.5;
+  likely.delay_prob = 0.5;
+  likely.delay_max = 10_us;
   MessageFaultModel a(Rng(11), certain);
   MessageFaultModel b(Rng(11), likely);
   for (int i = 0; i < 500; ++i) {
@@ -118,7 +118,7 @@ TEST(MessageFaultModel, DegenerateProbabilitiesStillBurnDraws) {
 // that config (same seed) would be after N messages.
 TEST(MessageFaultModel, SetConfigPreservesStreamPosition) {
   MessageFaultConfig first;
-  first.duplicate_prob = 0.2;
+  first.drop_prob = 0.2;
   MessageFaultConfig second;
   second.drop_prob = 0.3;
   second.delay_prob = 0.25;
@@ -191,7 +191,8 @@ TEST(LinkFaultMatrix, SeedSweepProducesByteIdenticalStreams) {
 TEST(LinkFaultMatrix, AddingLinkRuleLeavesOtherLanesByteIdentical) {
   MessageFaultConfig global;
   global.drop_prob = 0.15;
-  global.duplicate_prob = 0.05;
+  global.delay_prob = 0.05;
+  global.delay_max = 10_us;
   const std::vector<Hop> hops = interleaved_hops(400);
 
   LinkFaultMatrix plain(Rng(42), global);
@@ -229,8 +230,10 @@ TEST(LinkFaultMatrix, LaneStreamsAreIndependentOfOtherLinksTraffic) {
 TEST(LinkFaultMatrix, ResolutionPrecedence) {
   MessageFaultConfig link_cfg;  // always drop
   link_cfg.drop_prob = 1.0;
-  MessageFaultConfig egress_cfg;  // always duplicate
-  egress_cfg.duplicate_prob = 1.0;
+  MessageFaultConfig egress_cfg;  // always delay by exactly 3ns
+  egress_cfg.delay_prob = 1.0;
+  egress_cfg.delay_min = 3;
+  egress_cfg.delay_max = 3;
   MessageFaultConfig ingress_cfg;  // always delay by exactly 7ns
   ingress_cfg.delay_prob = 1.0;
   ingress_cfg.delay_min = 7;
@@ -242,24 +245,22 @@ TEST(LinkFaultMatrix, ResolutionPrecedence) {
   m.set_node_ingress(7, ingress_cfg);
 
   EXPECT_TRUE(m.next(3, 7).drop) << "link override beats both node rules";
-  EXPECT_TRUE(m.next(3, 8).duplicate) << "egress rule applies to the src's other links";
+  EXPECT_EQ(m.next(3, 8).extra_delay, 3) << "egress rule applies to the src's other links";
   EXPECT_EQ(m.next(9, 7).extra_delay, 7) << "ingress rule applies to the dst's other links";
   const FaultDecision clean = m.next(9, 8);
   EXPECT_FALSE(clean.drop);
-  EXPECT_FALSE(clean.duplicate);
   EXPECT_EQ(clean.extra_delay, 0);
 
   // Removing the override falls back to the next tier (egress), and the
   // lane keeps its stream position rather than restarting.
   m.clear_link(3, 7);
-  EXPECT_TRUE(m.next(3, 7).duplicate);
+  EXPECT_EQ(m.next(3, 7).extra_delay, 3);
 }
 
 // Counter totals match the configured probabilities over a long stream.
 TEST(LinkFaultMatrix, CounterTotalsMatchConfiguredProbabilities) {
   MessageFaultConfig cfg;
   cfg.drop_prob = 0.2;
-  cfg.duplicate_prob = 0.1;
   cfg.delay_prob = 0.3;
   cfg.delay_min = 1_us;
   cfg.delay_max = 10_us;
@@ -269,11 +270,9 @@ TEST(LinkFaultMatrix, CounterTotalsMatchConfiguredProbabilities) {
   const MessageFaultModel* lane = m.lane_model(1, 2);
   ASSERT_NE(lane, nullptr);
   const double drops = static_cast<double>(lane->drops()) / n;
-  // Duplicates/delays only count on non-dropped messages.
-  const double dups = static_cast<double>(lane->duplicates()) / n;
+  // Delays only count on non-dropped messages.
   const double delays = static_cast<double>(lane->delays()) / n;
   EXPECT_NEAR(drops, cfg.drop_prob, 0.02);
-  EXPECT_NEAR(dups, cfg.duplicate_prob * (1.0 - cfg.drop_prob), 0.02);
   EXPECT_NEAR(delays, cfg.delay_prob * (1.0 - cfg.drop_prob), 0.02);
 }
 
@@ -309,7 +308,7 @@ TEST(LinkFaultMatrix, LinkDownAndPartitionEatMessages) {
 TEST(LinkFaultMatrix, MetricScopeSurfacesPerLinkCounters) {
   MessageFaultConfig cfg;
   cfg.drop_prob = 0.5;
-  cfg.duplicate_prob = 0.3;
+  cfg.delay_prob = 0.3;
   MetricRegistry registry;
   LinkFaultMatrix m(Rng(8), cfg);
   m.bind_metrics(registry.scoped("fault"));
@@ -321,7 +320,6 @@ TEST(LinkFaultMatrix, MetricScopeSurfacesPerLinkCounters) {
   ASSERT_NE(lane, nullptr);
   EXPECT_GT(lane->drops(), 0u);
   EXPECT_EQ(registry.counter("fault.link.1-2.drops").value(), lane->drops());
-  EXPECT_EQ(registry.counter("fault.link.1-2.duplicates").value(), lane->duplicates());
   EXPECT_EQ(registry.counter("fault.link.1-2.delays").value(), lane->delays());
   EXPECT_EQ(registry.counter("fault.partition.drops").value(), 50u);
   EXPECT_EQ(m.lane_model(2, 3), nullptr) << "partition drops never touch a lane";
