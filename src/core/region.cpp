@@ -92,7 +92,6 @@ ConsistentRegion::ConsistentRegion(sim::Simulation& sim, net::Fabric& fabric,
   kv::KvConfig cache_cfg = config_.cache;
   cache_cfg.lru_eviction = false;
   cache_ = std::make_unique<kv::MemCacheCluster>(sim_, fabric_, cache_cfg);
-  pending_by_hash_.reserve(4096);
 
   sim::MetricScope scope = sim_.metrics().scoped(region_metric_scope(config_.root));
   epochs_.set_state_gauge(&scope.gauge("epoch"));
@@ -149,7 +148,8 @@ fs::Path ConsistentRegion::checkpoint_path(std::uint64_t id) const {
 
 void ConsistentRegion::pending_increment(const OpMessage& msg) {
   assert(msg.path_hash == sim::Rng::hash(msg.path) && "message not built by make_op");
-  ++pending_by_hash_[msg.path_hash];
+  ++pending_by_hash_.try_emplace(msg.path_hash, hash_is_key, [] { return PendingCount{}; })
+        .first->count;
   ++pending_total_;
   queue_depth_gauge_.set(static_cast<std::int64_t>(pending_total_));
 }
@@ -157,8 +157,8 @@ void ConsistentRegion::pending_increment(const OpMessage& msg) {
 void ConsistentRegion::pending_decrement(const OpMessage& msg) {
   // The hash stamped by make_op rides in the message, so the commit side
   // never rehashes the path.
-  if (const auto it = pending_by_hash_.find(msg.path_hash); it != pending_by_hash_.end()) {
-    if (--it->second == 0) pending_by_hash_.erase(it);
+  if (PendingCount* pending = pending_by_hash_.find(msg.path_hash, hash_is_key)) {
+    if (--pending->count == 0) pending_by_hash_.erase(pending);
   }
   if (pending_total_ > 0 && --pending_total_ == 0) drained_gate_.open();
   queue_depth_gauge_.set(static_cast<std::int64_t>(pending_total_));

@@ -34,6 +34,7 @@
 #include "dfs/client.h"
 #include "dfs/cluster.h"
 #include "fs/error.h"
+#include "fs/flat_table.h"
 #include "fs/path.h"
 #include "kv/memcache.h"
 #include "obs/span_id.h"
@@ -361,7 +362,7 @@ class ConsistentRegion {
   void pending_increment(const OpMessage& msg);
   void pending_decrement(const OpMessage& msg);
   bool pending_contains(std::uint64_t hash) const {
-    return pending_by_hash_.find(hash) != pending_by_hash_.end();
+    return pending_by_hash_.find(hash, hash_is_key) != nullptr;
   }
 
   sim::Task<> evictor_loop();
@@ -399,12 +400,19 @@ class ConsistentRegion {
   // Pending-commit bookkeeping: paths with queued-but-uncommitted ops are
   // protected from eviction; the drain() primitive waits on the total.
   // Keyed by the path's 64-bit hash (stamped into the message at publish,
-  // reused on the commit side) and erased at zero, so the table stays
-  // bounded by in-flight ops and cache-hot regardless of namespace size --
-  // a create storm over millions of distinct paths never grows it. A hash
+  // reused on the commit side) and erased at zero, so the table is bounded
+  // by the commit backlog, not by the namespace: a create storm that runs
+  // ahead of its commits holds one entry per queued path (about 80,000
+  // after stat_random's 81,920 creates) until they commit. A hash
   // collision between two concurrently-pending paths (~2^-64 per pair)
   // only over-protects an entry from eviction; totals stay exact.
-  std::unordered_map<std::uint64_t, std::uint32_t> pending_by_hash_;
+  struct PendingCount {
+    std::uint64_t hash = 0;
+    std::uint32_t count = 0;
+  };
+  /// The table's match predicate: the path hash is the whole key.
+  static bool hash_is_key(const PendingCount&) { return true; }
+  fs::FlatTable<PendingCount> pending_by_hash_;
   std::uint64_t pending_total_ = 0;
   sim::Gate drained_gate_;
 

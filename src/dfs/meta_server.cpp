@@ -1,6 +1,6 @@
 #include "dfs/meta_server.h"
 
-#include <cassert>
+#include <algorithm>
 
 namespace pacon::dfs {
 
@@ -50,7 +50,7 @@ void MetaServer::install_root() {
   // applications create their own workspace directories under it.
   root.mode = fs::FileMode{0x7, 0x7, 0x7};
   root.nlink = 2;
-  inodes_.emplace(fs::kRootIno, root);
+  inodes_.emplace(fs::kRootIno, Inode{.attr = root, .name = {}});
 }
 
 sim::Task<MetaResponse> MetaServer::handle(MetaRequest req) {
@@ -101,16 +101,22 @@ fs::InodeAttr* MetaServer::find_dir(fs::Ino ino, FsError& err) {
     err = FsError::not_found;
     return nullptr;
   }
-  if (!it->second.is_dir()) {
+  if (!it->second.attr.is_dir()) {
     err = FsError::not_a_directory;
     return nullptr;
   }
-  return &it->second;
+  return &it->second.attr;
 }
 
 MetaServer::Dirents* MetaServer::dirents_of(fs::Ino dir) {
   auto it = dirents_.find(dir);
   return it == dirents_.end() ? nullptr : &it->second;
+}
+
+MetaServer::Dirent* MetaServer::find_dirent(Dirents* entries, const std::string& name) {
+  if (entries == nullptr) return nullptr;
+  return entries->find(sim::Rng::hash(name),
+                       [&](const Dirent& d) { return d.inode->name == name; });
 }
 
 MetaResponse MetaServer::do_lookup(const MetaRequest& req) {
@@ -121,15 +127,12 @@ MetaResponse MetaServer::do_lookup(const MetaRequest& req) {
     resp.status = FsError::permission;
     return resp;
   }
-  Dirents* entries = dirents_of(req.parent);
-  auto it = entries != nullptr ? entries->find(req.name) : Dirents::iterator{};
-  if (entries == nullptr || it == entries->end()) {
+  const Dirent* dirent = find_dirent(dirents_of(req.parent), req.name);
+  if (dirent == nullptr) {
     resp.status = FsError::not_found;
     return resp;
   }
-  const auto child = inodes_.find(it->second);
-  assert(child != inodes_.end());
-  resp.attr = child->second;
+  resp.attr = dirent->inode->attr;
   return resp;
 }
 
@@ -140,7 +143,7 @@ MetaResponse MetaServer::do_getattr(const MetaRequest& req) {
     resp.status = FsError::not_found;
     return resp;
   }
-  resp.attr = it->second;
+  resp.attr = it->second.attr;
   return resp;
 }
 
@@ -153,8 +156,10 @@ MetaResponse MetaServer::do_create(const MetaRequest& req) {
     resp.status = FsError::permission;
     return resp;
   }
-  Dirents& entries = dirents_[req.parent];
-  if (entries.contains(req.name)) {
+  const auto [dirent, inserted] = dirents_[req.parent].try_emplace(
+      sim::Rng::hash(req.name), [&](const Dirent& d) { return d.inode->name == req.name; },
+      [] { return Dirent{}; });
+  if (!inserted) {
     resp.status = FsError::exists;
     return resp;
   }
@@ -168,10 +173,9 @@ MetaResponse MetaServer::do_create(const MetaRequest& req) {
   child.ctime = sim_.now();
   child.mtime = sim_.now();
   resp.attr = child;
-  entries.emplace(req.name, child.ino);
   parent->mtime = sim_.now();
   if (req.type == fs::FileType::directory) ++parent->nlink;
-  inodes_.emplace(child.ino, child);
+  dirent->inode = &inodes_.emplace(child.ino, Inode{.attr = child, .name = req.name}).first->second;
   return resp;
 }
 
@@ -184,19 +188,18 @@ MetaResponse MetaServer::do_unlink(const MetaRequest& req) {
     return resp;
   }
   Dirents* entries = dirents_of(req.parent);
-  auto it = entries != nullptr ? entries->find(req.name) : Dirents::iterator{};
-  if (entries == nullptr || it == entries->end()) {
+  Dirent* dirent = find_dirent(entries, req.name);
+  if (dirent == nullptr) {
     resp.status = FsError::not_found;
     return resp;
   }
-  auto child = inodes_.find(it->second);
-  assert(child != inodes_.end());
-  if (child->second.is_dir()) {
+  const fs::Ino child = dirent->inode->attr.ino;
+  if (dirent->inode->attr.is_dir()) {
     resp.status = FsError::is_a_directory;
     return resp;
   }
+  entries->erase(dirent);
   inodes_.erase(child);
-  entries->erase(it);
   parent->mtime = sim_.now();
   return resp;
 }
@@ -210,25 +213,24 @@ MetaResponse MetaServer::do_rmdir(const MetaRequest& req) {
     return resp;
   }
   Dirents* entries = dirents_of(req.parent);
-  auto it = entries != nullptr ? entries->find(req.name) : Dirents::iterator{};
-  if (entries == nullptr || it == entries->end()) {
+  Dirent* dirent = find_dirent(entries, req.name);
+  if (dirent == nullptr) {
     resp.status = FsError::not_found;
     return resp;
   }
-  auto child = inodes_.find(it->second);
-  assert(child != inodes_.end());
-  if (!child->second.is_dir()) {
+  const fs::Ino child = dirent->inode->attr.ino;
+  if (!dirent->inode->attr.is_dir()) {
     resp.status = FsError::not_a_directory;
     return resp;
   }
-  auto child_entries = dirents_.find(child->first);
+  auto child_entries = dirents_.find(child);
   if (child_entries != dirents_.end() && !child_entries->second.empty()) {
     resp.status = FsError::not_empty;
     return resp;
   }
   if (child_entries != dirents_.end()) dirents_.erase(child_entries);
+  entries->erase(dirent);
   inodes_.erase(child);
-  entries->erase(it);
   parent->mtime = sim_.now();
   --parent->nlink;
   return resp;
@@ -240,11 +242,10 @@ MetaResponse MetaServer::do_readdir(const MetaRequest& req) {
   const Dirents* entries = dirents_of(req.ino);
   if (entries == nullptr) return resp;
   resp.entries.reserve(entries->size());
-  for (const auto& [name, ino] : *entries) {
-    const auto child = inodes_.find(ino);
-    assert(child != inodes_.end());
-    resp.entries.push_back(fs::DirEntry{name, child->second.type});
-  }
+  entries->for_each([&](const Dirent& d) {
+    resp.entries.push_back(fs::DirEntry{d.inode->name, d.inode->attr.type});
+  });
+  std::ranges::sort(resp.entries, {}, &fs::DirEntry::name);
   return resp;
 }
 
@@ -255,13 +256,14 @@ MetaResponse MetaServer::do_set_size(const MetaRequest& req) {
     resp.status = FsError::not_found;
     return resp;
   }
-  if (it->second.is_dir()) {
+  fs::InodeAttr& attr = it->second.attr;
+  if (attr.is_dir()) {
     resp.status = FsError::is_a_directory;
     return resp;
   }
-  it->second.size = std::max(it->second.size, req.size);
-  it->second.mtime = sim_.now();
-  resp.attr = it->second;
+  attr.size = std::max(attr.size, req.size);
+  attr.mtime = sim_.now();
+  resp.attr = attr;
   return resp;
 }
 

@@ -9,13 +9,13 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <memory>
 #include <unordered_map>
 #include <variant>
 
 #include "dfs/protocol.h"
+#include "fs/flat_table.h"
 #include "fs/lru_cache.h"
 #include "net/fabric.h"
 #include "net/rpc.h"
@@ -51,8 +51,21 @@ class MetaServer {
   MetaResponse apply(const MetaRequest& req);
 
  private:
-  /// A directory's entries, name -> child inode, in readdir order.
-  using Dirents = std::map<std::string, fs::Ino>;
+  /// An inode's attributes and the name of the entry that links it (empty
+  /// for the root).
+  struct Inode {
+    fs::InodeAttr attr;
+    std::string name;
+  };
+  /// One directory entry: its name's hash and the inode it links, whose
+  /// node in `inodes_` never moves. The name lives in the inode, so the
+  /// table stays 16 bytes a bucket.
+  struct Dirent {
+    std::uint64_t hash = 0;  // sim::Rng::hash(inode->name)
+    Inode* inode = nullptr;
+  };
+  /// A directory's entries; do_readdir sorts them by name.
+  using Dirents = fs::FlatTable<Dirent>;
 
   sim::Task<MetaResponse> handle(MetaRequest req);
   sim::Task<> charge_cache(fs::Ino ino);
@@ -68,15 +81,18 @@ class MetaServer {
   fs::InodeAttr* find_dir(fs::Ino ino, fs::FsError& err);
   /// `dir`'s entry table, or nullptr while it never had an entry.
   Dirents* dirents_of(fs::Ino dir);
+  /// The entry named `name` in `entries` (which may be null), or nullptr.
+  static Dirent* find_dirent(Dirents* entries, const std::string& name);
 
   sim::Simulation& sim_;
   net::NodeId node_;
   sim::SimDisk& disk_;
-  // Every inode is its attributes alone. Entries live in a per-directory
-  // table created with the first entry and erased with the directory, so
-  // files and empty directories carry no child map. A dentry and its inode
-  // are created and erased together, so every entry's inode is present.
-  std::unordered_map<fs::Ino, fs::InodeAttr> inodes_;
+  // Every inode is its attributes and its name. Entries live in a
+  // per-directory table created with the first entry and erased with the
+  // directory, so files and empty directories carry no child table. A
+  // dentry and its inode are created and erased together, so every entry's
+  // inode is present.
+  std::unordered_map<fs::Ino, Inode> inodes_;
   std::unordered_map<fs::Ino, Dirents> dirents_;
   fs::Ino next_ino_ = fs::kRootIno + 1;
   std::uint64_t ops_served_ = 0;

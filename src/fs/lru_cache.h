@@ -11,21 +11,25 @@
 //
 // Storage is flat: entries live in one vector of slots that never grows past
 // `capacity`, linked into recency order by 32-bit slot numbers, and a
-// linear-probing index of slot numbers finds them. Freed slots form a free
-// list. An expired entry stays until it is evicted or probed: dropping it
-// early would change which entry a later capacity eviction removes.
+// fs::FlatTable of 8-byte {folded hash, slot number} entries finds them.
+// A slot keeps its key's hash too, unless the key is its own hash
+// (IdentityHash), so an eviction finds the victim's bucket without
+// re-hashing its key. Freed slots form a free list. An expired entry stays
+// until it is evicted or probed: dropping it early would change which entry
+// a later capacity eviction removes.
 #pragma once
 
 #include <algorithm>
-#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
+#include "fs/flat_table.h"
 #include "fs/path.h"
 #include "sim/time.h"
 
@@ -53,16 +57,17 @@ class LruTtlCache {
   /// The pointer stays valid until the next insert, which may move slots.
   template <typename Probe>
   const V* find(const Probe& key, sim::SimTime now) {
-    std::size_t pos = locate(probe(key));
-    if (pos != kAbsent && slots_[index_[pos]].expires_at < now) {
-      remove(pos);
-      pos = kAbsent;
+    const auto& p = probe(key);
+    IndexEntry* entry = locate(p, hash_(p));
+    if (entry != nullptr && slots_[entry->slot].expires_at < now) {
+      remove(entry);
+      entry = nullptr;
     }
-    if (pos == kAbsent) {
+    if (entry == nullptr) {
       ++misses_;
       return nullptr;
     }
-    const std::uint32_t s = index_[pos];
+    const std::uint32_t s = entry->slot;
     touch(s);
     ++hits_;
     return &slots_[s].value;
@@ -77,15 +82,19 @@ class LruTtlCache {
     if (capacity_ == 0) return;
     const sim::SimTime expires_at = now > kNeverExpires - ttl_ ? kNeverExpires : now + ttl_;
     const auto& p = probe(key);
-    if (const std::size_t pos = locate(p); pos != kAbsent) {
-      const std::uint32_t s = index_[pos];
+    const std::uint64_t hash = hash_(p);
+    if (const IndexEntry* entry = locate(p, hash)) {
+      const std::uint32_t s = entry->slot;
       slots_[s].value = std::move(value);
       slots_[s].expires_at = expires_at;
       touch(s);
       return;
     }
-    if (size_ == capacity_) remove(position_of(tail_));
-    if ((size_ + 1) * 4 > index_.size() * 3) grow_index();
+    if (size() == capacity_) {
+      const std::uint32_t victim = tail_;
+      remove(index_.find(stored_hash(victim),
+                         [victim](const IndexEntry& e) { return e.slot == victim; }));
+    }
 
     std::uint32_t s = free_head_;
     if (s != kNil) {
@@ -99,45 +108,51 @@ class LruTtlCache {
     }
     Slot& slot = slots_[s];
     store_key(slot.key, p);
+    if constexpr (!kKeyIsHash) slot.hash = hash;
     slot.value = std::move(value);
     slot.expires_at = expires_at;
     link_front(s);
-    std::size_t pos = home(hash_(p));
-    while (index_[pos] != kNil) pos = (pos + 1) & mask();
-    index_[pos] = s;
-    ++size_;
+    index_.insert(hash, IndexEntry{.slot = s});
   }
 
   template <typename Probe>
   void erase(const Probe& key) {
-    if (const std::size_t pos = locate(probe(key)); pos != kAbsent) remove(pos);
+    const auto& p = probe(key);
+    if (IndexEntry* entry = locate(p, hash_(p))) remove(entry);
   }
 
   void clear() {
     slots_.clear();
-    std::fill(index_.begin(), index_.end(), kNil);
+    index_.clear();
     head_ = tail_ = free_head_ = kNil;
-    size_ = 0;
   }
 
-  std::size_t size() const { return size_; }
+  std::size_t size() const { return index_.size(); }
   std::uint64_t hits() const { return hits_; }
   std::uint64_t misses() const { return misses_; }
 
  private:
-  /// Null slot number: the end of a recency or free list, an empty bucket.
+  /// Null slot number: the end of a recency or free list.
   static constexpr std::uint32_t kNil = std::numeric_limits<std::uint32_t>::max();
-  static constexpr std::size_t kAbsent = std::numeric_limits<std::size_t>::max();
+
+  /// Integer keys are their own hash, so their slots need not store one.
+  static constexpr bool kKeyIsHash = std::is_same_v<Hash, IdentityHash>;
+  struct NoHash {};
 
   /// One entry. `prev` points toward the most recent entry and `next` toward
   /// the least recent; a freed slot threads the free list through `next` and
   /// keeps its key's storage for the next insert to reuse.
   struct Slot {
     Key key{};
+    [[no_unique_address]] std::conditional_t<kKeyIsHash, NoHash, std::uint64_t> hash{};
     sim::SimTime expires_at = 0;
     std::uint32_t prev = kNil;
     std::uint32_t next = kNil;
     [[no_unique_address]] V value{};
+  };
+  struct IndexEntry {
+    std::uint32_t hash = 0;
+    std::uint32_t slot = kNil;
   };
 
   // A Path probes as its SpellingKey; every other probe goes to the index as is.
@@ -152,63 +167,28 @@ class LruTtlCache {
     dst = Key(key);
   }
 
-  std::size_t mask() const { return index_.size() - 1; }
-  /// Bucket a hash starts probing from. The multiply spreads the hash over
-  /// the top bits, so sequential integer keys (inode numbers) do not pile
-  /// up into one long run.
-  std::size_t home(std::size_t hash) const {
-    return static_cast<std::size_t>((static_cast<std::uint64_t>(hash) * 0x9E3779B97F4A7C15ull) >>
-                                    shift_);
-  }
-
-  /// Bucket holding `key`, or kAbsent.
-  template <typename Probe>
-  std::size_t locate(const Probe& key) const {
-    if (size_ == 0) return kAbsent;
-    for (std::size_t pos = home(hash_(key));; pos = (pos + 1) & mask()) {
-      const std::uint32_t s = index_[pos];
-      if (s == kNil) return kAbsent;
-      if (eq_(key, slots_[s].key)) return pos;
+  /// hash_ of slot `s`'s key, without hashing it.
+  std::uint64_t stored_hash(std::uint32_t s) const {
+    if constexpr (kKeyIsHash) {
+      return slots_[s].key;
+    } else {
+      return slots_[s].hash;
     }
   }
 
-  /// Bucket holding slot `s`, which must be live.
-  std::size_t position_of(std::uint32_t s) const {
-    std::size_t pos = home(hash_(slots_[s].key));
-    while (index_[pos] != s) pos = (pos + 1) & mask();
-    return pos;
+  /// Index entry of `key`, whose hash is `hash`, or nullptr.
+  template <typename Probe>
+  IndexEntry* locate(const Probe& key, std::uint64_t hash) {
+    return index_.find(hash, [&](const IndexEntry& e) { return eq_(key, slots_[e.slot].key); });
   }
 
-  /// Removes the entry in bucket `pos`: unlinks its slot onto the free list
-  /// and closes the gap by shifting later buckets of the run back.
-  void remove(std::size_t pos) {
-    const std::uint32_t s = index_[pos];
+  /// Drops the entry `entry` indexes: unlinks its slot onto the free list.
+  void remove(IndexEntry* entry) {
+    const std::uint32_t s = entry->slot;
+    index_.erase(entry);
     unlink(s);
     slots_[s].next = free_head_;
     free_head_ = s;
-    --size_;
-    for (std::size_t next = (pos + 1) & mask(); index_[next] != kNil; next = (next + 1) & mask()) {
-      const std::size_t want = home(hash_(slots_[index_[next]].key));
-      // The entry at `next` may fill the gap unless its home lies cyclically
-      // in (pos, next]: moving it before its home would hide it from probes.
-      const bool stays = pos <= next ? (pos < want && want <= next) : (pos < want || want <= next);
-      if (stays) continue;
-      index_[pos] = index_[next];
-      pos = next;
-    }
-    index_[pos] = kNil;
-  }
-
-  void grow_index() {
-    std::vector<std::uint32_t> old(std::max<std::size_t>(8, 2 * index_.size()), kNil);
-    old.swap(index_);
-    shift_ = 64 - static_cast<unsigned>(std::countr_zero(index_.size()));
-    for (const std::uint32_t s : old) {
-      if (s == kNil) continue;
-      std::size_t pos = home(hash_(slots_[s].key));
-      while (index_[pos] != kNil) pos = (pos + 1) & mask();
-      index_[pos] = s;
-    }
   }
 
   void link_front(std::uint32_t s) {
@@ -236,13 +216,10 @@ class LruTtlCache {
   [[no_unique_address]] Hash hash_;
   [[no_unique_address]] Eq eq_;
   std::vector<Slot> slots_;
-  // Power-of-two bucket array of slot numbers, at most 3/4 full.
-  std::vector<std::uint32_t> index_;
-  unsigned shift_ = 64;
+  FlatTable<IndexEntry> index_;
   std::uint32_t head_ = kNil;  // most recent
   std::uint32_t tail_ = kNil;  // least recent
   std::uint32_t free_head_ = kNil;
-  std::size_t size_ = 0;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
 };

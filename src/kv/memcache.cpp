@@ -60,13 +60,13 @@ KvResponse MemCacheServer::apply(const KvRequest& req) {
   using Op = KvRequest::Op;
   switch (req.op) {
     case Op::get: {
-      auto it = items_.find(probe(req));
-      if (it == items_.end()) {
+      const Slot* slot = find_slot(probe(req));
+      if (slot == nullptr) {
         misses_.add();
         return KvResponse{KvStatus::not_found, {}, 0};
       }
       hits_.add();
-      Item* item = it->item.get();
+      Item* item = slot->item.get();
       if (config_.lru_eviction) {
         lru_unlink(item);
         lru_push_front(item);
@@ -78,9 +78,9 @@ KvResponse MemCacheServer::apply(const KvRequest& req) {
     case Op::cas:
       return store(req);
     case Op::del: {
-      auto it = items_.find(probe(req));
-      if (it == items_.end()) return KvResponse{KvStatus::not_found, {}, 0};
-      erase_item(it);
+      Slot* slot = find_slot(probe(req));
+      if (slot == nullptr) return KvResponse{KvStatus::not_found, {}, 0};
+      erase_item(slot);
       return KvResponse{KvStatus::ok, {}, 0};
     }
   }
@@ -90,29 +90,29 @@ KvResponse MemCacheServer::apply(const KvRequest& req) {
 KvResponse MemCacheServer::store(const KvRequest& req) {
   using Op = KvRequest::Op;
   const PrehashedKey key = probe(req);
-  auto it = items_.find(key);
-  if (req.op == Op::add && it != items_.end()) return KvResponse{KvStatus::exists, {}, 0};
+  Slot* slot = find_slot(key);
+  if (req.op == Op::add && slot != nullptr) return KvResponse{KvStatus::exists, {}, 0};
   if (req.op == Op::cas) {
-    if (it == items_.end()) return KvResponse{KvStatus::not_found, {}, 0};
-    if (it->item->cas != req.cas) return KvResponse{KvStatus::cas_mismatch, {}, it->item->cas};
+    if (slot == nullptr) return KvResponse{KvStatus::not_found, {}, 0};
+    if (slot->item->cas != req.cas) return KvResponse{KvStatus::cas_mismatch, {}, slot->item->cas};
   }
 
   const std::uint64_t new_size = item_footprint(req.key.size(), req.value.size());
   const std::uint64_t old_size =
-      it == items_.end() ? 0 : item_footprint(it->item->key_len, it->item->value_len);
+      slot == nullptr ? 0 : item_footprint(slot->item->key_len, slot->item->value_len);
   // Refuse before destroying the old value if eviction cannot make room.
   if (bytes_used_ - old_size + new_size > config_.capacity_bytes && !config_.lru_eviction) {
     return KvResponse{KvStatus::no_space, {}, 0};
   }
   // Updates are erase + fresh insert: the old footprint is released first so
   // LRU eviction can never pick the key being written as its own victim.
-  if (it != items_.end()) erase_item(it);
+  if (slot != nullptr) erase_item(slot);
   if (bytes_used_ + new_size > config_.capacity_bytes && !make_room(new_size)) {
     return KvResponse{KvStatus::no_space, {}, 0};
   }
 
   bytes_used_ += new_size;
-  Item* item = items_.insert(Slot{key.hash, make_item(req, next_cas_++)}).first->item.get();
+  Item* item = items_.insert(key.hash, Slot{.item = make_item(req, next_cas_++)}).item.get();
   if (config_.lru_eviction) lru_push_front(item);
   stores_.add();
   return KvResponse{KvStatus::ok, {}, item->cas};
@@ -148,24 +148,24 @@ bool MemCacheServer::make_room(std::uint64_t need) {
   if (!config_.lru_eviction) return false;
   while (bytes_used_ + need > config_.capacity_bytes && lru_tail_ != nullptr) {
     const std::string_view victim = lru_tail_->key();
-    erase_item(items_.find(PrehashedKey{victim, sim::Rng::hash(victim)}));
+    erase_item(find_slot(PrehashedKey{victim, sim::Rng::hash(victim)}));
     ++evictions_;
   }
   return bytes_used_ + need <= config_.capacity_bytes;
 }
 
-void MemCacheServer::erase_item(ItemTable::iterator it) {
-  Item* item = it->item.get();
+void MemCacheServer::erase_item(Slot* slot) {
+  Item* item = slot->item.get();
   bytes_used_ -= item_footprint(item->key_len, item->value_len);
   if (config_.lru_eviction) lru_unlink(item);
-  items_.erase(it);
+  items_.erase(slot);
 }
 
 std::vector<std::string> MemCacheServer::keys_with_prefix(const std::string& prefix) const {
   std::vector<std::string> out;
-  for (const Slot& slot : items_) {
+  items_.for_each([&](const Slot& slot) {
     if (slot.item->key().starts_with(prefix)) out.emplace_back(slot.item->key());
-  }
+  });
   return out;
 }
 

@@ -16,9 +16,9 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_set>
 #include <vector>
 
+#include "fs/flat_table.h"
 #include "kv/hash_ring.h"
 #include "net/fabric.h"
 #include "obs/span_id.h"
@@ -132,33 +132,13 @@ class MemCacheServer {
   };
   using ItemPtr = std::unique_ptr<Item, ItemFree>;
 
-  /// Item-table element: the owning pointer plus the key's hash. Keeping
-  /// the hash in the element means rehashes and bucket walks never re-hash
-  /// a key, and a probe compares hashes before it touches an item.
+  /// Item-table entry: the key's hash and the owning pointer. A probe
+  /// compares hashes before it touches an item.
   struct Slot {
-    std::uint64_t hash;
+    std::uint64_t hash = 0;
     ItemPtr item;
   };
-  struct SlotHash {
-    using is_transparent = void;
-    std::size_t operator()(const Slot& s) const noexcept {
-      return static_cast<std::size_t>(s.hash);
-    }
-    std::size_t operator()(const PrehashedKey& k) const noexcept {
-      return static_cast<std::size_t>(k.hash);
-    }
-  };
-  struct SlotEq {
-    using is_transparent = void;
-    bool operator()(const Slot& a, const Slot& b) const noexcept {
-      return a.hash == b.hash && a.item->key() == b.item->key();
-    }
-    bool operator()(const PrehashedKey& k, const Slot& s) const noexcept {
-      return k.hash == s.hash && k.key == s.item->key();
-    }
-    bool operator()(const Slot& s, const PrehashedKey& k) const noexcept { return (*this)(k, s); }
-  };
-  using ItemTable = std::unordered_set<Slot, SlotHash, SlotEq>;
+  using ItemTable = fs::FlatTable<Slot>;
 
   std::uint64_t item_footprint(std::size_t key_len, std::size_t value_len) const {
     return key_len + value_len + config_.item_overhead_bytes;
@@ -179,7 +159,11 @@ class MemCacheServer {
   void lru_push_front(Item* item);
   void lru_unlink(Item* item);
   bool make_room(std::uint64_t need);
-  void erase_item(ItemTable::iterator it);
+  /// Slot of `key`, or nullptr.
+  Slot* find_slot(const PrehashedKey& key) {
+    return items_.find(key.hash, [&](const Slot& s) { return s.item->key() == key.key; });
+  }
+  void erase_item(Slot* slot);
   /// set, add and cas: an add needs the key absent, a cas the key present
   /// at version `req.cas`.
   KvResponse store(const KvRequest& req);
@@ -189,6 +173,7 @@ class MemCacheServer {
   KvConfig config_;
   // Grows with its contents: the servers run on the application's compute
   // nodes, so an idle server should not hold a pre-sized bucket array.
+  // flush() keeps the buckets.
   ItemTable items_;
   // Intrusive recency list through the items' links; kept only when
   // lru_eviction is on. A get or a store relinks an item without touching

@@ -5,6 +5,7 @@
 
 #include <array>
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -12,6 +13,7 @@
 #include "dfs/cluster.h"
 #include "obs/trace.h"
 #include "sim/combinators.h"
+#include "sim/random.h"
 #include "sim/simulation.h"
 
 namespace pacon::dfs {
@@ -161,6 +163,41 @@ TEST(DfsMeta, ReaddirListsChildrenSorted) {
     EXPECT_EQ((*entries)[1].name, "b");
     EXPECT_EQ((*entries)[2].name, "c");
     EXPECT_EQ((*entries)[2].type, fs::FileType::directory);
+
+    // Enough names that a listing in hash or insertion order would differ:
+    // 200 created in a seeded shuffled order, some removed again.
+    constexpr std::size_t kNames = 200;
+    std::vector<std::size_t> order(kNames);
+    for (std::size_t i = 0; i < kNames; ++i) order[i] = i;
+    sim::Rng rng(23);
+    for (std::size_t i = kNames - 1; i > 0; --i) {
+      std::swap(order[i], order[static_cast<std::size_t>(rng.uniform(i + 1))]);
+    }
+    const auto is_dir = [](std::size_t i) { return i % 7 == 0; };
+    const auto name_of = [](std::size_t i) { return "f" + std::to_string(i); };
+    (void)co_await c.mkdir(Path::parse("/e"), fs::FileMode::dir_default());
+    for (const std::size_t i : order) {
+      const Path path = Path::parse("/e/" + name_of(i));
+      const auto made = is_dir(i) ? co_await c.mkdir(path, fs::FileMode::dir_default())
+                                  : co_await c.create(path, fs::FileMode::file_default());
+      EXPECT_TRUE(made.has_value()) << path.str();
+    }
+    std::map<std::string, fs::FileType> expected;
+    for (const std::size_t i : order) {
+      const Path path = Path::parse("/e/" + name_of(i));
+      if (i % 3 == 1) {
+        const auto removed = is_dir(i) ? co_await c.rmdir(path) : co_await c.unlink(path);
+        EXPECT_TRUE(removed.has_value()) << path.str();
+      } else {
+        expected.emplace(name_of(i), is_dir(i) ? fs::FileType::directory : fs::FileType::file);
+      }
+    }
+    auto listed = co_await c.readdir(Path::parse("/e"));
+    EXPECT_TRUE(listed.has_value());
+    if (!listed) co_return;
+    std::vector<fs::DirEntry> want;
+    for (const auto& [name, type] : expected) want.push_back(fs::DirEntry{name, type});
+    EXPECT_EQ(*listed, want);
   }(f.client));
 }
 

@@ -253,5 +253,36 @@ TEST(LruTtlCacheDiff, ExpiredMostRecentEntryDoesNotShieldLiveTail) {
   EXPECT_EQ(cache.size(), 1u);
 }
 
+// Counts every call of the spelling hasher below.
+std::size_t g_hash_calls = 0;
+
+struct CountingSpellingHash {
+  using is_transparent = void;
+  template <typename Key>
+  std::size_t operator()(const Key& key) const {
+    ++g_hash_calls;
+    return SpellingHash{}(key);
+  }
+};
+
+TEST(LruTtlCache, EvictingInsertsHashOnlyTheInsertedKey) {
+  // Each slot keeps its key's hash, so evicting the least recent entry and
+  // closing the gap it leaves in the index re-hash no stored spelling: an
+  // insert hashes the key it inserts, once.
+  constexpr std::size_t kCapacity = 64;
+  constexpr std::size_t kInserts = 1000;
+  LruTtlCache<std::string, int, CountingSpellingHash, SpellingEq> cache(kCapacity);
+  for (std::size_t i = 0; i < kCapacity; ++i) {
+    cache.insert("/workspace/dir/file" + std::to_string(i), 0, 0);
+  }
+  ASSERT_EQ(cache.size(), kCapacity);
+  std::vector<std::string> keys;
+  for (std::size_t i = 0; i < kInserts; ++i) keys.push_back("/workspace/other/file" + std::to_string(i));
+  g_hash_calls = 0;
+  for (const std::string& key : keys) cache.insert(key, 1, 0);
+  EXPECT_EQ(g_hash_calls, kInserts);
+  EXPECT_EQ(cache.size(), kCapacity);
+}
+
 }  // namespace
 }  // namespace pacon::fs

@@ -1,10 +1,11 @@
-// Ownership test for the cache server's items.
+// Ownership and allocation test for the cache server's items.
 //
 // Every item is a heap allocation owned by its server, so flush() and the
 // server's destructor are the only things standing between a cold restart
-// or a region teardown and a leak. This binary replaces the global operator
-// new/delete to count live allocations, which is why it is not folded into
-// kv_memcache_test.
+// or a region teardown and a leak, and the item is the only allocation a
+// store into a warm table makes. This binary replaces the global operator
+// new/delete to count live allocations and allocation calls, which is why
+// it is not folded into kv_memcache_test.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -18,10 +19,12 @@
 namespace {
 
 long g_live = 0;
+long g_allocations = 0;
 
 void* counted_alloc(std::size_t bytes) {
   if (void* p = std::malloc(bytes == 0 ? 1 : bytes)) {
     ++g_live;
+    ++g_allocations;
     return p;
   }
   throw std::bad_alloc();
@@ -90,6 +93,23 @@ TEST_P(KvItemAlloc, FlushFreesEveryItem) {
   server.flush();
   EXPECT_EQ(g_live, before);
   EXPECT_EQ(server.bytes_used(), 0u);
+}
+
+TEST_P(KvItemAlloc, StoreIntoWarmTableAllocatesOnlyTheItem) {
+  sim::Simulation sim;
+  net::Fabric fabric(sim, net::FabricConfig{});
+  MemCacheServer server(sim, fabric, net::NodeId{0}, config());
+  // After a fill and a flush the item table has buckets for every item of
+  // the next fill, so a store's one allocation is the item itself.
+  fill(server);
+  server.flush();
+  for (int i = 0; i < kItems; ++i) {
+    const KvRequest req{KvRequest::Op::add, "/app/warm/file" + std::to_string(i),
+                        std::string(66, 'v'), 0, 0};
+    const long before = g_allocations;
+    ASSERT_EQ(server.apply(req).status, KvStatus::ok);
+    ASSERT_EQ(g_allocations - before, 1) << "store " << i;
+  }
 }
 
 TEST_P(KvItemAlloc, DestructionFreesEveryItem) {
